@@ -5,7 +5,7 @@ GO ?= go
 BURST ?= 32
 DATE  := $(shell date +%Y-%m-%d)
 
-.PHONY: all build test vet doclint crossbuild race stress chaos control-chaos fuzz-short bench-smoke bench-guard bench-fig5 bench-bridge bench-json ci
+.PHONY: all build test vet loc doclint crossbuild race stress chaos control-chaos fuzz-short bench-smoke bench-guard bench-fig5 bench-bridge bench-json ci
 
 all: build vet test
 
@@ -17,6 +17,14 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Go line counts, the figures CHANGES.md reports: non-test and test lines
+# of every .go file, excluding the benchmark module (ftcbench/) and its
+# build directory (.bench_build/).
+GO_FILES = find . \( -path ./ftcbench -o -path ./.bench_build -o -path ./.git \) -prune -o -name '*.go'
+loc:
+	@echo "non-test Go lines: $$($(GO_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test Go lines:     $$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
 
 # Doc-comment lint: the deployment-path packages must keep every exported
 # symbol documented (the README walkthrough links to their godoc), and so

@@ -87,11 +87,54 @@ func buildMB(name string, workers int) (core.Middlebox, error) {
 	}
 }
 
+// replicaSpec describes ring position index of the chain named by
+// chainSpec (a comma-separated middlebox list) the way core.Chain would:
+// the hosted middlebox and the TTL and delta prefixes of every middlebox
+// in the chain. Every replica derives the prefixes from the chain alone,
+// so they agree across the ring; mbName, if set, must name chain[index]
+// (or the hosted middlebox of an extension replica past the chain's
+// end). Fabric wiring is left to the caller. It also returns the chain's
+// middlebox count.
+func replicaSpec(chainSpec, mbName string, index, workers int) (core.ReplicaSpec, int, error) {
+	names := strings.Split(chainSpec, ",")
+	mbs := make([]core.Middlebox, len(names))
+	for i, n := range names {
+		var err error
+		if mbs[i], err = buildMB(n, workers); err != nil {
+			return core.ReplicaSpec{}, 0, err
+		}
+	}
+	spec := core.ReplicaSpec{Index: index}
+	if index < len(mbs) {
+		spec.MB = mbs[index]
+	}
+	if mbName != "" {
+		hosted, err := buildMB(mbName, workers)
+		if err != nil {
+			return core.ReplicaSpec{}, 0, err
+		}
+		if index < len(mbs) && mbKind(hosted) != mbKind(spec.MB) {
+			return core.ReplicaSpec{}, 0, fmt.Errorf("-mb %q differs from -chain position %d (%q)", mbName, index, names[index])
+		}
+		spec.MB = hosted
+	}
+	spec.TTLPrefixes, spec.DeltaPrefixes = core.ChainPrefixes(mbs)
+	return spec, len(mbs), nil
+}
+
+// mbKind names a middlebox's type, "" for none.
+func mbKind(mb core.Middlebox) string {
+	if mb == nil {
+		return ""
+	}
+	return mb.Name()
+}
+
 func main() {
 	var (
 		index     = flag.Int("index", 0, "this replica's ring position")
 		chainSpec = flag.String("chain", "monitor", "comma-separated middlebox list defining the chain")
-		mbName    = flag.String("mb", "", "middlebox this replica hosts (defaults to chain[index])")
+		mbName    = flag.String("mb", "", "middlebox this replica hosts: defaults to, and must match, chain[index]; extension replicas past the chain use none")
 		f         = flag.Int("f", 1, "failures to tolerate")
 		workers   = flag.Int("workers", 2, "packet worker threads")
 		listenUDP = flag.String("listen-udp", "127.0.0.1:0", "data-plane listen address")
@@ -105,20 +148,13 @@ func main() {
 		sockets   = flag.Int("sockets", 0, "SO_REUSEPORT data-plane sockets sharing the UDP port (0 = GOMAXPROCS; non-Linux always 1)")
 		sockBuf   = flag.Int("sockbuf", 0, "requested SO_RCVBUF/SO_SNDBUF per data-plane socket in bytes (0 = OS default)")
 		noMMsg    = flag.Bool("no-mmsg", false, "disable sendmmsg/recvmmsg batching, one syscall per datagram (wire format unchanged)")
-		orchEns   = flag.String("orch-ensemble", "", "comma-separated orchestrator ensemble member addresses this replica accepts control commands from (logged for operators; discovery is the ensemble's job)")
 		minTerm   = flag.Uint64("min-controller-term", 0, "preset the controller fence floor: control commands below this term are rejected, so a leader deposed while this replica was down cannot adopt it (DESIGN.md \u00a714)")
 	)
 	peers := peerFlags{}
 	flag.Var(peers, "peer", "remote ring node: index=udpaddr[/tcpaddr] (repeatable)")
 	flag.Parse()
 
-	chainMBs := strings.Split(*chainSpec, ",")
-	numMB := len(chainMBs)
-	name := *mbName
-	if name == "" && *index < numMB {
-		name = chainMBs[*index]
-	}
-	mb, err := buildMB(name, *workers)
+	spec, numMB, err := replicaSpec(*chainSpec, *mbName, *index, *workers)
 	if err != nil {
 		log.Fatalf("ftcd: %v", err)
 	}
@@ -157,18 +193,12 @@ func main() {
 		peerList = append(peerList, trans.Peer{ID: egressID, UDPAddr: *egress})
 	}
 
-	ringIDs := make([]netsim.NodeID, ring.M())
-	for i := range ringIDs {
-		ringIDs[i] = ringID(i)
+	spec.Sim, spec.Fabric, spec.Egress = local, fabric, egressID
+	spec.RingIDs = make([]netsim.NodeID, ring.M())
+	for i := range spec.RingIDs {
+		spec.RingIDs[i] = ringID(i)
 	}
-	replica := core.NewReplica(cfg, core.ReplicaSpec{
-		Index:   *index,
-		Sim:     local,
-		Fabric:  fabric,
-		RingIDs: ringIDs,
-		Egress:  egressID,
-		MB:      mb,
-	})
+	replica := core.NewReplica(cfg, spec)
 	if *minTerm > 0 {
 		// Raise the fence before the control plane is reachable: a boot-time
 		// floor closes the window where a deposed leader could adopt a
@@ -187,15 +217,10 @@ func main() {
 	defer bridge.Close()
 	udpAddr, tcpAddr := bridge.Addrs()
 	mbDesc := "extension replica (no middlebox)"
-	if mb != nil {
-		mbDesc = mb.Name()
+	if spec.MB != nil {
+		mbDesc = spec.MB.Name()
 	}
 	log.Printf("ftcd: ring %d/%d hosting %s", *index, ring.M(), mbDesc)
-	if *orchEns != "" {
-		members := strings.Split(*orchEns, ",")
-		log.Printf("ftcd: orchestrator ensemble: %d members (%s), fence floor term %d",
-			len(members), *orchEns, replica.ControllerTerm())
-	}
 	burstDesc := fmt.Sprintf("%d", cfg.Burst)
 	if cfg.Burst == 0 {
 		burstDesc = fmt.Sprintf("adaptive(max %d)", cfg.MaxBurst)

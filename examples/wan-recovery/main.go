@@ -21,11 +21,19 @@ func main() {
 		{"neighbouring region", 8 * time.Millisecond},
 	}
 
+	// The heartbeat timeout must exceed the farthest region's RTT, or every
+	// heartbeat to that region misses and the orchestrator replaces healthy
+	// replicas.
+	var farthest time.Duration
+	for _, r := range regions {
+		farthest = max(farthest, r.rtt)
+	}
 	dep, err := ftc.Deploy([]ftc.Middlebox{
 		ftc.NewFirewall(nil, true),
 		ftc.NewMonitor(1, 2),
 		ftc.NewSimpleNAT(ftc.Addr4(203, 0, 113, 9), 20000, 40000),
-	}, ftc.Options{F: 1, Workers: 2, ChainName: "rec"})
+	}, ftc.Options{F: 1, Workers: 2, ChainName: "rec",
+		Heartbeat: ftc.OrchestratorConfig{HeartbeatTimeout: 2 * farthest}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,6 +82,9 @@ func main() {
 			rep.StateFetch.Round(100*time.Microsecond),
 			rep.Total.Round(100*time.Microsecond))
 		time.Sleep(100 * time.Millisecond)
+	}
+	if n := len(dep.Orchestrator.Reports()); n != len(names) {
+		log.Fatalf("orchestrator made %d recoveries, want only the %d crashed middleboxes", n, len(names))
 	}
 	fmt.Println("\nthe init delay tracks each region's distance to the orchestrator;")
 	fmt.Println("state recovery is dominated by WAN round trips to the state sources (§7.5).")

@@ -26,6 +26,13 @@
 // Custom middleboxes implement the Middlebox interface; all state accesses
 // go through the transactional store (Txn), which is what makes them
 // recoverable. See the examples directory for complete programs.
+//
+// The Orchestrator detects failures by heartbeat and runs the paper's
+// three-step recovery (spawn, fetch state, reroute). It is an ensemble of
+// Options.Heartbeat.Members nodes: one by default, the paper's single
+// controller; three or five survive orchestrator crashes. Every recovery
+// command carries the leader's term, and the chain rejects stale terms,
+// so a deposed leader cannot touch the ring.
 package ftc
 
 import (
@@ -71,8 +78,9 @@ type (
 	LinkProfile = netsim.LinkProfile
 	// NodeID names a fabric node.
 	NodeID = netsim.NodeID
-	// Orchestrator monitors and repairs a chain.
-	Orchestrator = orch.Orchestrator
+	// Orchestrator monitors and repairs a chain: an ensemble of
+	// OrchestratorConfig.Members nodes (one by default).
+	Orchestrator = orch.Ensemble
 	// OrchestratorConfig tunes failure detection.
 	OrchestratorConfig = orch.Config
 	// RecoveryReport is the timing breakdown of one recovery.
@@ -108,9 +116,10 @@ func NewChain(cfg ChainConfig, fabric *Fabric, name string, mbs []Middlebox, egr
 	return core.NewChain(cfg, fabric, name, mbs, egress)
 }
 
-// NewOrchestrator creates an orchestrator for a chain.
+// NewOrchestrator creates an orchestrator for a chain. Its members are
+// fabric nodes named id-m0, id-m1, ...; call Start before Recover.
 func NewOrchestrator(cfg OrchestratorConfig, fabric *Fabric, id NodeID, chain *Chain) *Orchestrator {
-	return orch.New(cfg, fabric, id, chain)
+	return orch.NewEnsemble(cfg, fabric, id, chain)
 }
 
 // NewGenerator creates a traffic generator on the fabric.
@@ -158,7 +167,8 @@ type Options struct {
 	Traffic TrafficSpec
 	// Fabric tunes the network substrate (latency, loss, ...).
 	Fabric FabricConfig
-	// Heartbeat tunes failure detection.
+	// Heartbeat tunes failure detection and the orchestrator ensemble
+	// size (Members, default 1).
 	Heartbeat OrchestratorConfig
 	// ChainName prefixes fabric node names (default "ftc").
 	ChainName string
@@ -179,8 +189,8 @@ type Deployment struct {
 
 // Deploy assembles and starts a complete FTC system running the given
 // middleboxes, with a traffic generator aimed at the chain ingress and a
-// measuring sink at its egress. The orchestrator's failure detector is
-// started; call Close to tear everything down.
+// measuring sink at its egress. The orchestrator is started; call Close
+// to tear everything down.
 func Deploy(mbs []Middlebox, opt Options) (*Deployment, error) {
 	if len(mbs) == 0 {
 		return nil, fmt.Errorf("ftc: no middleboxes")
@@ -206,7 +216,7 @@ func Deploy(mbs []Middlebox, opt Options) (*Deployment, error) {
 		fabric.Stop()
 		return nil, err
 	}
-	o := orch.New(opt.Heartbeat, fabric, NodeID(name+"-orch"), chain)
+	o := orch.NewEnsemble(opt.Heartbeat, fabric, NodeID(name+"-orch"), chain)
 	o.Start()
 	return &Deployment{
 		Fabric:       fabric,

@@ -2,8 +2,13 @@ package ftc
 
 import (
 	"encoding/binary"
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/ftsfc/ftc/internal/core"
+	"github.com/ftsfc/ftc/internal/orch"
 )
 
 func deployTest(t *testing.T, mbs []Middlebox, opt Options) *Deployment {
@@ -117,6 +122,68 @@ func TestDeployCrashRecover(t *testing.T) {
 	dep.Generator.Offer(10000, 100*time.Millisecond)
 	if got := dep.WaitForEgress(beforeEgress+50, 10*time.Second); got < beforeEgress+50 {
 		t.Fatalf("chain stalled after recovery: %d", got-beforeEgress)
+	}
+}
+
+// TestDeployOrchestratorSurvivesLeaderCrash deploys a three-member
+// orchestrator and kills its leader in the middle of a Recover: the
+// successor must resume and finish the recovery, and the chain must
+// forward again.
+func TestDeployOrchestratorSurvivesLeaderCrash(t *testing.T) {
+	dep := deployTest(t, []Middlebox{
+		NewMonitor(1, 2),
+		NewMonitor(1, 2),
+		NewMonitor(1, 2),
+	}, Options{F: 1, Workers: 2, Heartbeat: OrchestratorConfig{Members: 3}})
+	if n := len(dep.Orchestrator.Members()); n != 3 {
+		t.Fatalf("Deploy built %d orchestrator members, want 3", n)
+	}
+	var killed atomic.Bool
+	dep.Orchestrator.OnPhase = func(ev orch.PhaseEvent) {
+		if ev.Phase == orch.PhaseFetched && killed.CompareAndSwap(false, true) {
+			dep.Orchestrator.CrashLeader()
+		}
+	}
+
+	dep.Generator.Offer(10000, 100*time.Millisecond)
+	dep.WaitForEgress(100, 10*time.Second)
+	dep.Chain.Crash(1)
+	rep := dep.Orchestrator.Recover(1)
+	if rep.Err != nil {
+		t.Fatal(rep.Err)
+	}
+	if !killed.Load() {
+		t.Fatal("leader was never killed mid-recovery")
+	}
+	if !rep.Resumed || rep.Term < 2 {
+		t.Fatalf("want the recovery resumed by a successor (term >= 2), got %+v", rep)
+	}
+	beforeEgress := dep.Sink.Received()
+	dep.Generator.Offer(10000, 100*time.Millisecond)
+	if got := dep.WaitForEgress(beforeEgress+50, 10*time.Second); got < beforeEgress+50 {
+		t.Fatalf("chain stalled after failover: %d", got-beforeEgress)
+	}
+}
+
+// TestDeployFencesStaleAdopt checks that a deployed chain is fenced by its
+// orchestrator leader's term: an adopt carrying an older term is rejected
+// whole and counted.
+func TestDeployFencesStaleAdopt(t *testing.T) {
+	dep := deployTest(t, []Middlebox{NewMonitor(1, 1), NewMonitor(1, 1)}, Options{})
+	term := dep.Chain.ControllerTerm()
+	if term != 1 {
+		t.Fatalf("Deploy left the chain fenced at term %d, want 1", term)
+	}
+	nr, err := dep.Chain.SpawnFenced(1, term)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Chain.Abort(nr)
+	if err := dep.Chain.AdoptFenced(nr, term-1); !errors.Is(err, core.ErrFenced) {
+		t.Fatalf("stale adopt: got %v, want ErrFenced", err)
+	}
+	if got := dep.Chain.FencedCommands(); got != 1 {
+		t.Fatalf("FencedCommands() = %d, want 1", got)
 	}
 }
 

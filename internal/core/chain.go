@@ -107,41 +107,16 @@ func (c *Chain) buildReplica(idx int, id netsim.NodeID, mb Middlebox) *Replica {
 		QueueCap: c.cfg.QueueCap,
 		Selector: wire.RSSSelector,
 	})
-	return NewReplica(c.cfg, ReplicaSpec{
-		Index:         idx,
-		Sim:           sim,
-		Fabric:        c.fabric,
-		RingIDs:       c.ringIDs,
-		Egress:        c.egress,
-		MB:            mb,
-		TTLPrefixes:   c.ttlPrefixes,
-		DeltaPrefixes: c.deltaPrefixes,
-	})
-}
-
-// ttlPrefixes resolves the FlowTTLer prefixes of middlebox mb, so every
-// replica (head and followers alike) arms identical TTL configurations for
-// the stores it hosts.
-func (c *Chain) ttlPrefixes(mb int) []string {
-	if mb < 0 || mb >= len(c.mbs) {
-		return nil
+	spec := ReplicaSpec{
+		Index:   idx,
+		Sim:     sim,
+		Fabric:  c.fabric,
+		RingIDs: c.ringIDs,
+		Egress:  c.egress,
+		MB:      mb,
 	}
-	if f, ok := c.mbs[mb].(FlowTTLer); ok {
-		return f.FlowTTLPrefixes()
-	}
-	return nil
-}
-
-// deltaPrefixes resolves the DeltaPrefixer prefixes of middlebox mb; the
-// hosting head's store classifies counter writes under them as deltas.
-func (c *Chain) deltaPrefixes(mb int) []string {
-	if mb < 0 || mb >= len(c.mbs) {
-		return nil
-	}
-	if d, ok := c.mbs[mb].(DeltaPrefixer); ok {
-		return d.DeltaPrefixes()
-	}
-	return nil
+	spec.TTLPrefixes, spec.DeltaPrefixes = ChainPrefixes(c.mbs)
+	return NewReplica(c.cfg, spec)
 }
 
 // TriggerExpiry synchronously drains every due flow entry at every head,
@@ -218,29 +193,32 @@ func (c *Chain) Crash(i int) {
 
 // Replace spawns a replacement replica at ring position i, recovers its
 // state from the alive group members, reroutes the chain through it, and
-// starts it (§5.2's three recovery steps). The crashed node must already be
-// fail-stopped. Used directly by tests; the orchestrator drives the same
-// phases individually so it can time them.
+// starts it (§5.2's three recovery steps), all at the chain's current
+// controller term. The crashed node must already be fail-stopped. Used
+// directly by tests; the orchestrator drives the same phases individually
+// so it can log and time them.
 func (c *Chain) Replace(ctx context.Context, i int) (*Replica, error) {
-	nr := c.Spawn(i)
-	if err := c.RecoverState(ctx, nr); err != nil {
+	term := c.ControllerTerm()
+	nr, err := c.SpawnFenced(i, term)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.RecoverStateFenced(ctx, nr, term); err != nil {
 		c.Abort(nr)
 		return nil, err
 	}
-	c.Adopt(nr)
+	if err := c.AdoptFenced(nr, term); err != nil {
+		c.Abort(nr)
+		return nil, err
+	}
 	return nr, nil
 }
 
-// Spawn creates (but does not start or initialize) a replacement replica
-// for ring position i on a fresh fabric node — recovery step 1 (§5.2,
-// "spawning a new replica and a new middlebox").
-func (c *Chain) Spawn(i int) *Replica {
-	nr, _ := c.SpawnFenced(i, c.ctrlTerm.Load())
-	return nr
-}
-
-// SpawnFenced is Spawn under a controller fencing term: a stale term is
-// rejected with ErrFenced before any fabric node is created.
+// SpawnFenced creates (but does not start or initialize) a replacement
+// replica for ring position i on a fresh fabric node — recovery step 1
+// (§5.2, "spawning a new replica and a new middlebox"). A term below the
+// chain's controller term is rejected with ErrFenced before any fabric
+// node is created.
 func (c *Chain) SpawnFenced(i int, term uint64) (*Replica, error) {
 	if err := c.checkFence(term); err != nil {
 		return nil, err
@@ -279,34 +257,24 @@ func (c *Chain) dropSpawned(id netsim.NodeID) {
 	c.spawnMu.Unlock()
 }
 
-// RecoverState runs recovery step 2 on a spawned replica: fetch each
-// replication group's state from the appropriate alive member. The replica
-// must not be started yet.
-func (c *Chain) RecoverState(ctx context.Context, nr *Replica) error {
-	_, err := nr.Recover(ctx, c.RingID)
-	return err
-}
-
-// RecoverStateFenced is RecoverState under a controller fencing term.
+// RecoverStateFenced runs recovery step 2 on a spawned replica under a
+// controller fencing term: fetch each replication group's state from the
+// appropriate alive member. The replica must not be started yet.
 func (c *Chain) RecoverStateFenced(ctx context.Context, nr *Replica, term uint64) error {
 	if err := c.checkFence(term); err != nil {
 		return err
 	}
-	return c.RecoverState(ctx, nr)
+	_, err := nr.Recover(ctx, c.RingID)
+	return err
 }
 
-// Adopt runs recovery step 3: start the replacement, reroute the chain
-// through it, and bump the chain generation to fence stale in-flight
-// packets.
-func (c *Chain) Adopt(nr *Replica) {
-	_ = c.AdoptFenced(nr, c.ctrlTerm.Load())
-}
-
-// AdoptFenced is Adopt under a controller fencing term. The term is
-// re-checked under the chain lock, atomically with the route swap, so a
-// deposed leader that passed an earlier check cannot interleave its adopt
-// with a successor's fence: either the adopt lands before the fence rises,
-// or it is rejected whole with ErrFenced.
+// AdoptFenced runs recovery step 3 under a controller fencing term: start
+// the replacement, reroute the chain through it, and bump the chain
+// generation to fence stale in-flight packets. The term is re-checked
+// under the chain lock, atomically with the route swap, so a deposed
+// leader that passed an earlier check cannot interleave its adopt with a
+// successor's fence: either the adopt lands before the fence rises, or it
+// is rejected whole with ErrFenced.
 func (c *Chain) AdoptFenced(nr *Replica, term uint64) error {
 	i := nr.Index()
 	c.mu.Lock()

@@ -145,7 +145,7 @@ func (r *Replica) handleSpill(_ netsim.NodeID, req []byte) ([]byte, error) {
 			continue
 		}
 		mb := l.MB
-		f.waitApply(l, r.cfg.RepairEvery, func() { r.repair(mb, f) }, deadline, nil)
+		f.waitApply(l, r.cfg.RepairEvery, func() { r.repair(mb, f) }, deadline, nil, &parking{gen: &r.gen, want: m.Gen})
 	}
 	return nil, nil
 }

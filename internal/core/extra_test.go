@@ -173,10 +173,13 @@ func TestVerticalScalingReplacement(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := h.chain.RecoverState(ctx, nr); err != nil {
+	term := h.chain.ControllerTerm()
+	if err := h.chain.RecoverStateFenced(ctx, nr, term); err != nil {
 		t.Fatal(err)
 	}
-	h.chain.Adopt(nr)
+	if err := h.chain.AdoptFenced(nr, term); err != nil {
+		t.Fatal(err)
+	}
 
 	const n2 = 80
 	h.sendPackets(t, n2)

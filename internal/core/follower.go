@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ftsfc/ftc/internal/state"
@@ -229,23 +230,58 @@ func (f *Follower) notifyCh() chan struct{} {
 // repair should be fed through Apply by the callback. WaitApply gives up
 // and reports false after deadline (zero means wait forever).
 func (f *Follower) WaitApply(l Log, repairEvery time.Duration, onRepair func(), deadline time.Duration) bool {
-	return f.waitApply(l, repairEvery, onRepair, deadline, nil)
+	return f.waitApply(l, repairEvery, onRepair, deadline, nil, nil)
 }
 
-// waitApply is WaitApply with an optional buffer sink (see apply).
-func (f *Follower) waitApply(l Log, repairEvery time.Duration, onRepair func(), deadline time.Duration, sink *[]Log) bool {
+// parking adapts a blocked apply to the replica pipeline.
+type parking struct {
+	// gate is a read lock the caller holds (the head's fetch gate). It is
+	// dropped while the apply is parked, after settle (if set) has put
+	// the caller's work under the gate in order: a log whose predecessor
+	// died with its head can wait for as long as the recovery takes, and
+	// that recovery may need the gate to fetch this replica's head state.
+	gate   *sync.RWMutex
+	settle func()
+	// gen and want abandon the wait once the chain generation moves on
+	// from the one the log arrived in. A recovery restarts the dead head
+	// from a follower's cut, so the logs the parked one depends on are
+	// gone for good, and a new head's logs reusing their sequence numbers
+	// would satisfy it wrongly.
+	gen  *atomic.Uint32
+	want uint32
+}
+
+// waitApply is WaitApply with an optional buffer sink (see apply) and
+// parking behaviour (nil for none).
+func (f *Follower) waitApply(l Log, repairEvery time.Duration, onRepair func(), deadline time.Duration, sink *[]Log, p *parking) bool {
+	if f.apply(l, sink) != Blocked {
+		return true
+	}
+	return f.park(l, repairEvery, onRepair, deadline, sink, p)
+}
+
+// park is waitApply's blocked path.
+func (f *Follower) park(l Log, repairEvery time.Duration, onRepair func(), deadline time.Duration, sink *[]Log, p *parking) bool {
 	var elapsed time.Duration
-	for {
-		switch f.apply(l, sink) {
-		case Applied, Duplicate:
-			return true
-		case Blocked:
+	parked := false
+	defer func() {
+		if parked {
+			p.gate.RLock()
 		}
+	}()
+	for {
 		ch := f.notifyCh()
-		// Re-check after taking the channel: an Apply that advanced MAX
-		// between our Apply and notifyCh would otherwise be missed.
+		// Apply after taking the channel: an Apply that advanced MAX
+		// between our last attempt and notifyCh would otherwise be missed.
 		if out := f.apply(l, sink); out != Blocked {
 			return true
+		}
+		if p != nil && p.gate != nil && !parked {
+			if p.settle != nil {
+				p.settle()
+			}
+			p.gate.RUnlock()
+			parked = true
 		}
 		wait := repairEvery
 		if wait <= 0 {
@@ -263,6 +299,9 @@ func (f *Follower) waitApply(l Log, repairEvery time.Duration, onRepair func(), 
 			if deadline > 0 && elapsed >= deadline {
 				return false
 			}
+		}
+		if p != nil && p.gen != nil && p.gen.Load() != p.want {
+			return false
 		}
 	}
 }

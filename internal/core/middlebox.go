@@ -58,6 +58,32 @@ type DeltaPrefixer interface {
 	DeltaPrefixes() []string
 }
 
+// ChainPrefixes derives ReplicaSpec.TTLPrefixes and DeltaPrefixes from the
+// middleboxes of a chain, indexed by middlebox position: each returns the
+// FlowTTLer or DeltaPrefixer prefixes of middlebox mb, or nil when mb is
+// out of range, nil, or does not implement the extension. Every replica
+// of a chain must use the same mapping, so follower stores arm the same
+// TTLs as the head; Chain and the ftcd daemon both build replicas with it.
+func ChainPrefixes(mbs []Middlebox) (ttl, delta func(mb int) []string) {
+	ttl = func(mb int) []string {
+		if mb >= 0 && mb < len(mbs) {
+			if f, ok := mbs[mb].(FlowTTLer); ok {
+				return f.FlowTTLPrefixes()
+			}
+		}
+		return nil
+	}
+	delta = func(mb int) []string {
+		if mb >= 0 && mb < len(mbs) {
+			if d, ok := mbs[mb].(DeltaPrefixer); ok {
+				return d.DeltaPrefixes()
+			}
+		}
+		return nil
+	}
+	return ttl, delta
+}
+
 // CarrierCoster is the optional middlebox extension that estimates the
 // middlebox's per-packet piggyback byte cost (how much update state a
 // typical packet makes this middlebox attach). The cost-aware placement

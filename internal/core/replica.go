@@ -126,15 +126,16 @@ type ReplicaSpec struct {
 	MB Middlebox
 	// TTLPrefixes maps a middlebox index to the key prefixes whose entries
 	// age out under Config.FlowTTL (nil = no aging for that middlebox).
-	// The chain derives it from each middlebox's FlowTTLer implementation;
-	// a replica needs the mapping for every middlebox it follows, not just
-	// the one it hosts, so follower stores arm the same TTLs as the head.
+	// ChainPrefixes derives it from each middlebox's FlowTTLer
+	// implementation; a replica needs the mapping for every middlebox it
+	// follows, not just the one it hosts, so follower stores arm the same
+	// TTLs as the head.
 	TTLPrefixes func(mb int) []string
 	// DeltaPrefixes maps a middlebox index to the key prefixes whose 8-byte
 	// counter values travel as deltas under the piggyback diet (nil = no
-	// delta encoding for that middlebox). The chain derives it from each
-	// middlebox's DeltaPrefixer implementation; only the hosted middlebox's
-	// head store classifies, so only its prefixes matter here.
+	// delta encoding for that middlebox). ChainPrefixes derives it from
+	// each middlebox's DeltaPrefixer implementation; only the hosted
+	// middlebox's head store classifies, so only its prefixes matter here.
 	DeltaPrefixes func(mb int) []string
 }
 
@@ -405,10 +406,43 @@ func (r *Replica) handleBurst(w *worker, n int) {
 // batch flush, one buffer-release scan. Frames recycle only after the burst
 // sends have copied them into the fabric.
 func (r *Replica) flushBurst(w *worker) {
+	r.settleBurst(w)
+	if r.head != nil {
+		// End of the fetch gate (see handleBurst). Must drop before
+		// maybeExpire: the expiry transaction re-enters the read lock, which
+		// deadlocks if a fetch writer is already queued behind this burst.
+		r.head.fetchMu.RUnlock()
+	}
+	if len(w.spill) > 0 {
+		r.spillLogs(w.spill)
+		clearLogs(&w.spill)
+	}
+	if r.expiryOn {
+		// Flow aging rides the burst cadence: no extra goroutine touches
+		// the data path, and expiry deletions enter the same log → commit →
+		// release machinery as packet writes.
+		r.maybeExpire()
+	}
+	if r.buf != nil {
+		r.maybeRelease()
+	}
+	for _, fr := range w.rel {
+		netsim.ReleaseFrame(fr)
+	}
+	clearFrames(&w.rel)
+}
+
+// settleBurst is the part of the flush that the fetch gate covers: the
+// open run closes, frames go out, logs reach the retransmission buffers and
+// the batch releases its partition locks. After it the head's vector,
+// buffer and store form the consistent cut a recovery fetch reads, so a
+// worker parked mid-burst runs it before dropping the gate.
+func (r *Replica) settleBurst(w *worker) {
 	// Safety net for the coalescer: a run is normally closed onto the
 	// burst's last data packet, but if that frame never reached the
-	// transaction stage (parse error, stale gen, buffer transfer) the run is
-	// still open here and rides its own propagating carrier.
+	// transaction stage (parse error, stale gen, buffer transfer), or the
+	// worker parked mid-burst, the run is still open here and rides its own
+	// propagating carrier.
 	r.flushRun(w)
 	if len(w.out) > 0 {
 		if next := r.nextHop(); next != "" {
@@ -449,29 +483,6 @@ func (r *Replica) flushBurst(w *worker) {
 	if w.batch != nil {
 		w.batch.Flush()
 	}
-	if r.head != nil {
-		// End of the fetch gate (see handleBurst). Must drop before
-		// maybeExpire: the expiry transaction re-enters the read lock, which
-		// deadlocks if a fetch writer is already queued behind this burst.
-		r.head.fetchMu.RUnlock()
-	}
-	if len(w.spill) > 0 {
-		r.spillLogs(w.spill)
-		clearLogs(&w.spill)
-	}
-	if r.expiryOn {
-		// Flow aging rides the burst cadence: no extra goroutine touches
-		// the data path, and expiry deletions enter the same log → commit →
-		// release machinery as packet writes.
-		r.maybeExpire()
-	}
-	if r.buf != nil {
-		r.maybeRelease()
-	}
-	for _, fr := range w.rel {
-		netsim.ReleaseFrame(fr)
-	}
-	clearFrames(&w.rel)
 }
 
 // clearFrames truncates a frame list, zeroing entries so recycled buffers
@@ -643,8 +654,13 @@ func (r *Replica) processPacket(pkt *wire.Packet, msg *Message, w *worker) bool 
 			keptLogs = append(keptLogs, l) // passing through (not in this group)
 			continue
 		}
-		mb := l.MB
-		if !f.waitApply(l, r.cfg.RepairEvery, func() { r.repair(mb, f) }, r.cfg.RepairDeadline, sink) {
+		if f.apply(l, sink) == Blocked && !r.parkApply(f, l, msg.Gen, sink, w) {
+			if r.gen.Load() != msg.Gen {
+				// A recovery moved the chain on while the log waited: the
+				// packet is stale, as it would be on arrival now.
+				r.stats.StaleGen.Add(1)
+				return false
+			}
 			r.stats.ApplyTimeouts.Add(1)
 			keptLogs = append(keptLogs, l)
 			continue
@@ -795,6 +811,20 @@ func (r *Replica) forward(pkt *wire.Packet, msg *Message, w *worker) {
 	if err := r.sim.SendBlocking(next, pkt.Buf); err == nil {
 		r.stats.TxFrames.Add(1)
 	}
+}
+
+// parkApply waits out a follower log that arrived in generation gen and
+// is blocked on a missing predecessor, repairing from the group
+// predecessor meanwhile. A burst worker holds its head's fetch gate, so it
+// settles the burst so far and lets a recovery fetch through while parked.
+func (r *Replica) parkApply(f *Follower, l Log, gen uint32, sink *[]Log, w *worker) bool {
+	p := &parking{gen: &r.gen, want: gen}
+	if w != nil && r.head != nil {
+		p.gate = &r.head.fetchMu
+		p.settle = func() { r.settleBurst(w) }
+	}
+	mb := l.MB
+	return f.park(l, r.cfg.RepairEvery, func() { r.repair(mb, f) }, r.cfg.RepairDeadline, sink, p)
 }
 
 // attachDiet routes a burst transaction's log through the diet machinery

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ftsfc/ftc/internal/netsim"
 	"github.com/ftsfc/ftc/internal/state"
 )
 
@@ -200,6 +201,91 @@ func TestWaitApplyDeadline(t *testing.T) {
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("deadline far exceeded")
+	}
+}
+
+// TestParkedApplyYieldsFetchGate parks a head worker mid-burst on a
+// follower log whose predecessors died with their head. A recovery fetch
+// of the worker's own head state must still get through and see the
+// burst's earlier transaction whole (vector, buffered log and store), and
+// once the recovery moves the chain generation on, the parked packet is
+// dropped as stale instead of waiting out RepairDeadline.
+func TestParkedApplyYieldsFetchGate(t *testing.T) {
+	cfg := Config{NumMB: 2, F: 1, RepairEvery: time.Millisecond, RepairDeadline: 10 * time.Second}.WithDefaults()
+	fab := netsim.New(netsim.Config{})
+	t.Cleanup(fab.Stop)
+	fab.AddNode("r0", netsim.NodeConfig{}).Crash() // mb 0's head, now dead
+	r := NewReplica(cfg, ReplicaSpec{
+		Index:   1,
+		Sim:     fab.AddNode("r1", netsim.NodeConfig{}),
+		Fabric:  fab,
+		RingIDs: []netsim.NodeID{"r0", "r1"},
+		MB:      TestMonitors(2)[1],
+	})
+	frame := func(logs []Log) []byte {
+		pkt := mustCarrier()
+		if err := pkt.InsertFTCOption(); err != nil {
+			t.Fatal(err)
+		}
+		msg := &Message{Gen: cfg.Gen, Logs: logs}
+		if err := pkt.SetTrailer(msg.Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+		return pkt.Buf
+	}
+	w := r.newWorker()
+	// The first packet runs a head transaction; the second carries mb 0's
+	// log for partition 3 at sequence 5, whose predecessors never came.
+	w.in[0] = netsim.Inbound{From: "r0", Frame: frame(nil)}
+	w.in[1] = netsim.Inbound{From: "r0", Frame: frame([]Log{{MB: 0, Vec: SparseVec{{Part: 3, Seq: 5}}}})}
+	done := make(chan struct{})
+	go func() {
+		r.handleBurst(w, 2)
+		close(done)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for r.stats.Repairs.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	fetched := make(chan error, 1)
+	var fs *FetchState
+	go func() {
+		b, err := r.handleFetch("orch", encodeFetchReq(1))
+		if err == nil {
+			fs, err = decodeFetchState(b)
+		}
+		fetched <- err
+	}()
+	select {
+	case err := <-fetched:
+		if err != nil {
+			t.Fatalf("fetching the parked replica's head state: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("fetch of the parked replica's head state hung")
+	}
+	var seqs uint64
+	for _, v := range fs.Vector {
+		seqs += v
+	}
+	if seqs != 1 || len(fs.Logs) != 1 || len(fs.Snapshot) != 1 {
+		t.Fatalf("torn cut: vector sums to %d, %d buffered logs, %d stored keys; want 1 of each",
+			seqs, len(fs.Logs), len(fs.Snapshot))
+	}
+	r.SetGen(cfg.Gen + 1)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked apply outlived the generation change")
+	}
+	if got := r.stats.StaleGen.Load(); got != 1 {
+		t.Fatalf("StaleGen = %d, want the parked packet", got)
+	}
+	if m := r.followers[0].Max(); m[3] != 0 {
+		t.Fatalf("stale log applied: MAX[3] = %d", m[3])
 	}
 }
 

@@ -114,10 +114,16 @@ func TestFig13Runs(t *testing.T) {
 	}
 	// Monitor (remote region) should have a longer init delay than
 	// Firewall (orchestrator's region) — the paper's distance effect.
-	if !(tb.Rows[1][1] > tb.Rows[0][1]) { // string compare of durations is fragile; just check non-empty
-		if tb.Rows[1][1] == "" {
-			t.Fatal("missing init delay")
-		}
+	fw, err := time.ParseDuration(tb.Rows[0][1])
+	if err != nil {
+		t.Fatalf("Firewall init delay: %v", err)
+	}
+	mon, err := time.ParseDuration(tb.Rows[1][1])
+	if err != nil {
+		t.Fatalf("Monitor init delay: %v", err)
+	}
+	if mon <= fw {
+		t.Fatalf("Monitor init %v <= Firewall init %v: region distance not reflected\n%s", mon, fw, tb)
 	}
 }
 

@@ -411,20 +411,30 @@ func Fig13(p Params) (*Table, error) {
 	chain.Start()
 	defer chain.Stop()
 
-	o := orch.New(orch.Config{}, fabric, "orch", chain)
+	// The heartbeat timeout must exceed the farthest region's RTT, or every
+	// heartbeat to that region misses and the detector replaces healthy
+	// replicas.
+	var farthest time.Duration
+	for _, rtt := range regionRTT {
+		farthest = max(farthest, rtt)
+	}
+	o := orch.NewEnsemble(orch.Config{HeartbeatTimeout: 2 * farthest}, fabric, "orch", chain)
 	// Orchestrator-to-region latencies; replacements spawn in the failed
 	// node's region, so the same profile applies to them.
+	oid := o.NodeID()
 	for i := 0; i < chain.Len(); i++ {
-		fabric.SetLinkBoth("orch", chain.RingID(i), netsim.LinkProfile{Latency: regionRTT[i] / 2})
+		fabric.SetLinkBoth(oid, chain.RingID(i), netsim.LinkProfile{Latency: regionRTT[i] / 2})
 	}
 	chain.OnSpawn = func(idx int, id netsim.NodeID) {
-		fabric.SetLinkBoth("orch", id, netsim.LinkProfile{Latency: regionRTT[idx] / 2})
+		fabric.SetLinkBoth(oid, id, netsim.LinkProfile{Latency: regionRTT[idx] / 2})
 		for j := 0; j < chain.Len(); j++ {
 			if j != idx {
 				fabric.SetLinkBoth(id, chain.RingID(j), netsim.LinkProfile{Latency: interRegion / 2})
 			}
 		}
 	}
+	o.Start()
+	defer o.Stop()
 
 	// Seed some state so recovery actually transfers data.
 	gen, err := tgen.NewGenerator(fabric, "gen", chain.IngressID(), tgen.Spec{Flows: 64, PacketSize: p.PacketSize})
@@ -452,6 +462,9 @@ func Fig13(p Params) (*Table, error) {
 			rep.Reroute.Round(100*time.Microsecond).String(),
 			rep.Total.Round(100*time.Microsecond).String())
 		time.Sleep(50 * time.Millisecond)
+	}
+	if n := len(o.Reports()); n != len(names) {
+		return nil, fmt.Errorf("orchestrator made %d recoveries, want only the %d crashed middleboxes", n, len(names))
 	}
 	t.Notes = append(t.Notes,
 		"paper: init 1.2/49.8/5.3 ms (distance to orchestrator); state recovery 114–271 ms dominated by WAN RTT")

@@ -10,17 +10,15 @@ import (
 	"github.com/ftsfc/ftc/internal/netsim"
 )
 
-// Ensemble is the replicated orchestrator: Members fabric nodes running
-// leader election over a shared command log. The leader owns heartbeats,
-// failure detection, and recovery execution; every recovery step is
-// replicated before it acts, so when the leader dies a follower takes
-// over and resumes — not restarts — whatever was mid-flight. Fencing
-// terms (Chain.FenceController plus the replicas' control-RPC terms) make
-// the deposed leader's stale commands harmless.
-//
-// The Ensemble exposes the same surface as the single Orchestrator
-// (Start/Stop/Recover/Reports/Detected/...), so callers like the fleet
-// broker can swap one for the other.
+// Ensemble is the orchestrator: Members fabric nodes running leader
+// election over a shared command log. The leader owns heartbeats, failure
+// detection, and recovery execution; every recovery step is replicated
+// before it acts, so when the leader dies a follower takes over and
+// resumes — not restarts — whatever was mid-flight. Fencing terms
+// (Chain.FenceController plus the replicas' control-RPC terms) make the
+// deposed leader's stale commands harmless. An ensemble of one is the
+// paper's single controller: it runs the same logged, fenced recovery
+// driver with no peers to replicate to.
 type Ensemble struct {
 	cfg    Config
 	fabric *netsim.Fabric
@@ -40,9 +38,11 @@ type Ensemble struct {
 
 	// OnRecovery, if set, is called after each recovery attempt.
 	OnRecovery func(RecoveryReport)
-	// OnPhase is called synchronously at each recovery sub-step, exactly
-	// like Orchestrator.OnPhase — it remains the chaos harness's crash
-	// injection point, now including crashing the leader itself.
+	// OnPhase, if set, is called synchronously at each recovery sub-step
+	// (see Phase). Fault-injection harnesses hook it to crash replicas —
+	// or the leader itself — in the middle of a recovery; it must not
+	// block for long, since it runs on the recovery path and extends the
+	// measured phase timings.
 	OnPhase func(PhaseEvent)
 	// OnLeader, if set, is called synchronously when a member completes a
 	// takeover (after the election record replicated and the chain was
@@ -88,6 +88,14 @@ func (e *Ensemble) Start() {
 		m.leaseAt = now
 		m.mu.Unlock()
 	}
+	// Member 0 has seen and voted for term 1, so the stint's first
+	// replicate finds its own term current.
+	m0 := e.members[0]
+	m0.mu.Lock()
+	if m0.term == 0 {
+		m0.term, m0.granted = 1, 1
+	}
+	m0.mu.Unlock()
 	for _, m := range e.members {
 		m.wg.Add(1)
 		go m.run()
@@ -221,9 +229,11 @@ func (e *Ensemble) Log() []Entry {
 func (e *Ensemble) View() LogView { return Replay(e.Log()) }
 
 // Recover runs (or joins) a recovery for ring position idx and returns its
-// report. Unlike the single Orchestrator, the driving leader may die
-// mid-way; Recover then waits for the successor to resume and finish the
-// job, up to one RecoveryTimeout per ensemble member.
+// report. If the heartbeat detector is already recovering idx, Recover
+// waits for that recovery's report. The driving leader may die mid-way;
+// Recover then waits for the successor to resume and finish the job, up
+// to one RecoveryTimeout per ensemble member. Recover needs a leader, so
+// call Start first.
 func (e *Ensemble) Recover(idx int) RecoveryReport {
 	members := len(e.members)
 	if members < 1 {

@@ -221,8 +221,27 @@ func TestEnsembleCrashLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestEnsembleOfOne checks that a single-member ensemble behaves like the
-// plain orchestrator: detect, recover, report.
+// TestEnsembleStartLeadsAtTermOne checks the cold start: Start installs
+// member 0 at term 1 and fences the chain before it returns, with no
+// election.
+func TestEnsembleStartLeadsAtTermOne(t *testing.T) {
+	f, ch, _, _ := buildChain(t, netsim.Config{})
+	e := NewEnsemble(ensembleConfig(3), f, "orch", ch)
+	e.Start()
+	defer e.Stop()
+	if lead, term := e.Leader(); lead != 0 || term != 1 {
+		t.Fatalf("after Start: leader %d at term %d, want member 0 at term 1", lead, term)
+	}
+	if got := ch.ControllerTerm(); got != 1 {
+		t.Fatalf("chain fenced at term %d, want 1", got)
+	}
+	if got := e.Takeovers(); got != 1 {
+		t.Fatalf("%d takeovers, want the one term-1 installation", got)
+	}
+}
+
+// TestEnsembleOfOne checks that a single-member ensemble, the default
+// orchestrator, detects, recovers and reports.
 func TestEnsembleOfOne(t *testing.T) {
 	f, ch, gen, sink := buildChain(t, netsim.Config{})
 	e := NewEnsemble(ensembleConfig(1), f, "orch", ch)

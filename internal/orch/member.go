@@ -158,15 +158,6 @@ func (m *Member) Crash() {
 	m.stopOnce.Do(func() { close(m.stopped) })
 }
 
-// stop terminates a live member cleanly (no crash semantics).
-func (m *Member) stop() {
-	if ls := m.currentStint(); ls != nil {
-		ls.depose()
-	}
-	m.stopOnce.Do(func() { close(m.stopped) })
-	m.wg.Wait()
-}
-
 func (m *Member) register() {
 	m.node.RegisterRPC(RPCVote, m.handleVote)
 	m.node.RegisterRPC(RPCAppend, m.handleAppend)
@@ -558,9 +549,10 @@ func (ls *leaderStint) leaseLoop() {
 	}
 }
 
-// monitor is the per-ring-position failure detector, identical in policy
-// to the single Orchestrator's but owned by the stint: a deposed or
-// crashed leader's detectors exit instead of double-driving recoveries.
+// monitor is the per-ring-position failure detector: Misses consecutive
+// heartbeats that time out declare a failure and start a recovery. It is
+// owned by the stint, so a deposed or crashed leader's detectors exit
+// instead of double-driving recoveries.
 func (ls *leaderStint) monitor(idx int) {
 	defer ls.done()
 	m := ls.m
@@ -580,7 +572,13 @@ func (ls *leaderStint) monitor(idx int) {
 			return
 		}
 		target := m.ens.chain.RingID(idx)
-		if pingAlive(m.ens, m.node.ID(), target, cfg.HeartbeatTimeout) {
+		if core.Ping(context.Background(), m.ens.fabric, m.node.ID(), target, cfg.HeartbeatTimeout) {
+			misses = 0
+			continue
+		}
+		if m.ens.chain.RingID(idx) != target {
+			// A recovery rerouted the position while the ping to its old
+			// node was timing out; the replacement has not missed yet.
 			misses = 0
 			continue
 		}
@@ -847,11 +845,6 @@ func (ls *leaderStint) appendTo(p *Member, prev int, entries []Entry) bool {
 		return resp2.OK
 	}
 	return false
-}
-
-// pingAlive wraps core.Ping for the detector.
-func pingAlive(e *Ensemble, src, dst netsim.NodeID, timeout time.Duration) bool {
-	return core.Ping(context.Background(), e.fabric, src, dst, timeout)
 }
 
 // nodeAlive reports whether a fabric node exists and has not crashed.

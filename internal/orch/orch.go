@@ -3,18 +3,17 @@
 // heartbeats, detects fail-stop failures, and drives the three-step
 // recovery — spawn a replacement, recover state from alive group members,
 // and reroute traffic. In the paper the orchestrator is an ONOS SDN
-// controller; here it is a fabric node issuing the same control-plane
-// actions, and like the paper's it stays entirely off the data path.
+// controller; here it is an Ensemble of fabric nodes issuing the same
+// control-plane actions, and like the paper's it stays entirely off the
+// data path. An ensemble of one (the default) is the paper's single
+// controller; larger ensembles replicate it (DESIGN.md §14). Either way
+// every recovery runs through the one fenced, logged driver.
 package orch
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"github.com/ftsfc/ftc/internal/core"
-	"github.com/ftsfc/ftc/internal/metrics"
 	"github.com/ftsfc/ftc/internal/netsim"
 )
 
@@ -73,17 +72,16 @@ type Config struct {
 	// RecoveryTimeout bounds one full recovery.
 	RecoveryTimeout time.Duration
 
-	// Members is the ensemble size (leader + followers) for NewEnsemble;
-	// the single-node Orchestrator ignores it. 1 runs an unreplicated
-	// leader (no failover); 3 survives one orchestrator crash; 5 survives
-	// two, including killing the new leader during its takeover.
+	// Members is the ensemble size (leader + followers). 1, the default,
+	// runs an unreplicated leader (no failover); 3 survives one
+	// orchestrator crash; 5 survives two, including killing the new
+	// leader during its takeover.
 	Members int
-	// LeaseEvery is the leader's lease-renewal period to followers
-	// (ensemble only).
+	// LeaseEvery is the leader's lease-renewal period to followers.
 	LeaseEvery time.Duration
 	// ElectionAfter is how long a follower waits without leader contact
 	// before standing for election; candidacy is additionally staggered
-	// by rank so members stand one at a time (ensemble only).
+	// by rank so members stand one at a time.
 	ElectionAfter time.Duration
 }
 
@@ -126,235 +124,10 @@ type RecoveryReport struct {
 	Reroute    time.Duration
 	Total      time.Duration
 	Err        error
-	// Term is the leader term that completed the recovery (ensemble
-	// only; 0 for the single Orchestrator).
+	// Term is the leader term that completed the recovery.
 	Term uint64
 	// Resumed marks a recovery continued across a leader failover: its
 	// phase timings span the takeover gap, so latency-bound checks
 	// should treat it separately.
 	Resumed bool
-}
-
-// Orchestrator monitors one FTC chain and repairs it on failure.
-type Orchestrator struct {
-	cfg    Config
-	fabric *netsim.Fabric
-	node   *netsim.Node
-	chain  *core.Chain
-
-	mu       sync.Mutex
-	reports  []RecoveryReport
-	handling map[int]bool
-
-	stopOnce sync.Once
-	stopped  chan struct{}
-	wg       sync.WaitGroup
-
-	detected  metrics.Counter
-	recHist   *metrics.Histogram
-	fetchHist *metrics.Histogram
-
-	// OnRecovery, if set, is called after each recovery attempt.
-	OnRecovery func(RecoveryReport)
-	// OnPhase, if set, is called synchronously at each recovery sub-step
-	// (see Phase). Fault-injection harnesses hook it to crash replicas in
-	// the middle of a recovery; it must not block for long, since it runs
-	// on the recovery path and extends the measured phase timings.
-	OnPhase func(PhaseEvent)
-}
-
-// New creates an orchestrator on its own fabric node.
-func New(cfg Config, fabric *netsim.Fabric, id netsim.NodeID, chain *core.Chain) *Orchestrator {
-	return &Orchestrator{
-		cfg:       cfg.WithDefaults(),
-		fabric:    fabric,
-		node:      fabric.AddNode(id, netsim.NodeConfig{}),
-		chain:     chain,
-		handling:  make(map[int]bool),
-		stopped:   make(chan struct{}),
-		recHist:   metrics.NewHistogram(),
-		fetchHist: metrics.NewHistogram(),
-	}
-}
-
-// Detected reports how many failures the heartbeat detector has declared
-// (manual Recover calls are not counted).
-func (o *Orchestrator) Detected() uint64 { return o.detected.Value() }
-
-// RecoveryHist is the histogram of total recovery times across successful
-// recoveries (Figure 13's Total column as a distribution).
-func (o *Orchestrator) RecoveryHist() *metrics.Histogram { return o.recHist }
-
-// FetchHist is the histogram of state-recovery (fetch) times across
-// successful recoveries.
-func (o *Orchestrator) FetchHist() *metrics.Histogram { return o.fetchHist }
-
-// NodeID returns the orchestrator's fabric node id.
-func (o *Orchestrator) NodeID() netsim.NodeID { return o.node.ID() }
-
-// Start launches the failure detector: one heartbeat loop per ring
-// position.
-func (o *Orchestrator) Start() {
-	for i := 0; i < o.chain.Len(); i++ {
-		o.wg.Add(1)
-		go o.monitor(i)
-	}
-}
-
-// Stop terminates monitoring.
-func (o *Orchestrator) Stop() {
-	o.stopOnce.Do(func() { close(o.stopped) })
-	o.wg.Wait()
-}
-
-// Reports returns the recovery reports so far.
-func (o *Orchestrator) Reports() []RecoveryReport {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]RecoveryReport(nil), o.reports...)
-}
-
-func (o *Orchestrator) monitor(idx int) {
-	defer o.wg.Done()
-	t := time.NewTicker(o.cfg.HeartbeatEvery)
-	defer t.Stop()
-	misses := 0
-	for {
-		select {
-		case <-o.stopped:
-			return
-		case <-t.C:
-		}
-		if o.node.Crashed() {
-			// A fail-stopped orchestrator must not keep heartbeating (or
-			// leak its monitor goroutines) from beyond the grave.
-			return
-		}
-		target := o.chain.RingID(idx)
-		if core.Ping(context.Background(), o.fabric, o.node.ID(), target, o.cfg.HeartbeatTimeout) {
-			misses = 0
-			continue
-		}
-		misses++
-		if misses < o.cfg.Misses {
-			continue
-		}
-		misses = 0
-		o.detected.Inc()
-		o.recover(idx)
-	}
-}
-
-// Recover runs the three-step §5.2 recovery for ring position idx and
-// records a timing report. If the failure detector already started a
-// recovery for idx (they race when a failure is injected manually), Recover
-// waits for it and returns its report.
-func (o *Orchestrator) Recover(idx int) RecoveryReport {
-	for {
-		rep, raced := o.recover(idx)
-		if !raced {
-			return rep
-		}
-		// A detector-initiated recovery is running; wait for its report.
-		deadline := time.Now().Add(o.cfg.RecoveryTimeout)
-		for {
-			o.mu.Lock()
-			busy := o.handling[idx]
-			var last *RecoveryReport
-			for i := len(o.reports) - 1; i >= 0; i-- {
-				if o.reports[i].RingIndex == idx {
-					r := o.reports[i]
-					last = &r
-					break
-				}
-			}
-			o.mu.Unlock()
-			if !busy && last != nil {
-				return *last
-			}
-			if time.Now().After(deadline) {
-				return RecoveryReport{RingIndex: idx, Err: fmt.Errorf("orch: timed out waiting for concurrent recovery of %d", idx)}
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
-
-// recover runs one recovery; raced reports that another recovery of idx is
-// already in flight (nothing was done).
-func (o *Orchestrator) recover(idx int) (rep0 RecoveryReport, raced bool) {
-	o.mu.Lock()
-	if o.handling[idx] {
-		o.mu.Unlock()
-		return RecoveryReport{}, true
-	}
-	o.handling[idx] = true
-	o.mu.Unlock()
-	defer func() {
-		o.mu.Lock()
-		o.handling[idx] = false
-		o.mu.Unlock()
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), o.cfg.RecoveryTimeout)
-	defer cancel()
-
-	rep := RecoveryReport{RingIndex: idx, DetectedAt: time.Now()}
-	t0 := time.Now()
-
-	// Step 1 — initialization: spawn the replacement in the failed
-	// replica's region and inform it of the replication groups it joins.
-	// The round trip to the new node models the orchestrator-to-region
-	// control latency that dominates this phase in the paper (§7.5).
-	nr := o.chain.Spawn(idx)
-	// The spawn handshake: one control round trip to the new replica's
-	// region. Its control daemon registers at Start, so before that the
-	// ping fails fast after paying the link latency — which is the
-	// region-distance cost this phase measures.
-	_ = core.Ping(ctx, o.fabric, o.node.ID(), nr.SimID(), o.cfg.RecoveryTimeout)
-	rep.Init = time.Since(t0)
-	o.phase(PhaseEvent{RingIndex: idx, Phase: PhaseSpawned, Replacement: nr.SimID()})
-
-	// Step 2 — state recovery from alive group members.
-	t1 := time.Now()
-	if err := o.chain.RecoverState(ctx, nr); err != nil {
-		rep.Err = err
-		o.chain.Abort(nr)
-		o.record(rep)
-		return rep, false
-	}
-	rep.StateFetch = time.Since(t1)
-	o.phase(PhaseEvent{RingIndex: idx, Phase: PhaseFetched, Replacement: nr.SimID()})
-
-	// Step 3 — reroute traffic through the new replica.
-	t2 := time.Now()
-	o.chain.Adopt(nr)
-	rep.Reroute = time.Since(t2)
-	o.phase(PhaseEvent{RingIndex: idx, Phase: PhaseAdopted, Replacement: nr.SimID()})
-	rep.Total = time.Since(t0)
-	if h := nr.Head(); h != nil {
-		rep.Middlebox = fmt.Sprintf("mb%d", h.MB())
-	}
-	o.record(rep)
-	return rep, false
-}
-
-// phase invokes the OnPhase hook, if installed.
-func (o *Orchestrator) phase(ev PhaseEvent) {
-	if o.OnPhase != nil {
-		o.OnPhase(ev)
-	}
-}
-
-func (o *Orchestrator) record(rep RecoveryReport) {
-	if rep.Err == nil {
-		o.recHist.Record(rep.Total)
-		o.fetchHist.Record(rep.StateFetch)
-	}
-	o.mu.Lock()
-	o.reports = append(o.reports, rep)
-	o.mu.Unlock()
-	if o.OnRecovery != nil {
-		o.OnRecovery(rep)
-	}
 }

@@ -61,11 +61,28 @@ func pump(t *testing.T, ch *core.Chain, gen, sink *netsim.Node, n int) {
 	}
 }
 
+// startSingle starts an ensemble of one on the chain and stops it at test
+// end. Start must leave member 0 leading at term 1, with its heartbeat
+// monitors running, before it returns.
+func startSingle(t *testing.T, cfg Config, f *netsim.Fabric, ch *core.Chain) *Ensemble {
+	t.Helper()
+	cfg.Members = 1
+	o := NewEnsemble(cfg, f, "orch", ch)
+	o.Start()
+	t.Cleanup(o.Stop)
+	if lead, term := o.Leader(); lead != 0 || term != 1 {
+		t.Fatalf("after Start: leader %d at term %d, want member 0 at term 1", lead, term)
+	}
+	return o
+}
+
+// manual keeps the heartbeat detector quiet for tests that drive Recover
+// by hand, so every report comes from the test's own call.
+var manual = Config{HeartbeatEvery: time.Minute}
+
 func TestOrchestratorDetectsAndRecovers(t *testing.T) {
 	f, ch, gen, sink := buildChain(t, netsim.Config{})
-	o := New(Config{HeartbeatEvery: 5 * time.Millisecond, Misses: 2}, f, "orch", ch)
-	o.Start()
-	defer o.Stop()
+	o := startSingle(t, Config{HeartbeatEvery: 5 * time.Millisecond, Misses: 2}, f, ch)
 
 	pump(t, ch, gen, sink, 50)
 	oldID := ch.RingID(1)
@@ -106,7 +123,7 @@ func TestOrchestratorDetectsAndRecovers(t *testing.T) {
 
 func TestManualRecoverReportsPhases(t *testing.T) {
 	f, ch, gen, sink := buildChain(t, netsim.Config{})
-	o := New(Config{}, f, "orch", ch)
+	o := startSingle(t, manual, f, ch)
 	pump(t, ch, gen, sink, 30)
 	ch.Crash(2)
 	rep := o.Recover(2)
@@ -126,7 +143,7 @@ func TestRecoveryWithWANLatency(t *testing.T) {
 	// by the round-trip latency to the state source.
 	fcfg := netsim.Config{DefaultLink: netsim.LinkProfile{Latency: 10 * time.Millisecond}}
 	f, ch, gen, sink := buildChain(t, fcfg)
-	o := New(Config{}, f, "orch", ch)
+	o := startSingle(t, manual, f, ch)
 	pump(t, ch, gen, sink, 20)
 	ch.Crash(1)
 	rep := o.Recover(1)
@@ -142,9 +159,7 @@ func TestRecoveryWithWANLatency(t *testing.T) {
 
 func TestOrchestratorIgnoresHealthyChain(t *testing.T) {
 	f, ch, gen, sink := buildChain(t, netsim.Config{})
-	o := New(Config{HeartbeatEvery: 3 * time.Millisecond}, f, "orch", ch)
-	o.Start()
-	defer o.Stop()
+	o := startSingle(t, Config{HeartbeatEvery: 3 * time.Millisecond}, f, ch)
 	pump(t, ch, gen, sink, 30)
 	time.Sleep(50 * time.Millisecond)
 	if len(o.Reports()) != 0 {
@@ -154,7 +169,7 @@ func TestOrchestratorIgnoresHealthyChain(t *testing.T) {
 
 func TestOnPhaseHookOrderAndHistograms(t *testing.T) {
 	f, ch, gen, sink := buildChain(t, netsim.Config{})
-	o := New(Config{}, f, "orch", ch)
+	o := NewEnsemble(manual, f, "orch", ch)
 	var phases []Phase
 	o.OnPhase = func(ev PhaseEvent) {
 		if ev.RingIndex != 1 {
@@ -165,6 +180,8 @@ func TestOnPhaseHookOrderAndHistograms(t *testing.T) {
 		}
 		phases = append(phases, ev.Phase)
 	}
+	o.Start()
+	defer o.Stop()
 	pump(t, ch, gen, sink, 20)
 	ch.Crash(1)
 	rep := o.Recover(1)
@@ -207,7 +224,7 @@ func TestCrashDuringRecoveryFallsBackToAliveSource(t *testing.T) {
 		ch.Stop()
 		fab.Stop()
 	})
-	o := New(Config{}, fab, "orch", ch)
+	o := NewEnsemble(manual, fab, "orch", ch)
 	pump(t, ch, gen, sink, 30)
 
 	crashed := false
@@ -217,6 +234,8 @@ func TestCrashDuringRecoveryFallsBackToAliveSource(t *testing.T) {
 			ch.Crash(2)
 		}
 	}
+	o.Start()
+	defer o.Stop()
 	ch.Crash(1)
 	if rep := o.Recover(1); rep.Err != nil {
 		t.Fatalf("recovery of 1 with a mid-recovery correlated failure: %v", rep.Err)
@@ -238,9 +257,11 @@ func TestCrashDuringRecoveryFallsBackToAliveSource(t *testing.T) {
 
 func TestOnRecoveryCallback(t *testing.T) {
 	f, ch, gen, sink := buildChain(t, netsim.Config{})
-	o := New(Config{}, f, "orch", ch)
+	o := NewEnsemble(manual, f, "orch", ch)
 	called := make(chan RecoveryReport, 1)
 	o.OnRecovery = func(r RecoveryReport) { called <- r }
+	o.Start()
+	defer o.Stop()
 	pump(t, ch, gen, sink, 10)
 	ch.Crash(0)
 	o.Recover(0)
