@@ -54,14 +54,14 @@ crossbuild:
 race:
 	$(GO) test -race ./internal/netsim/... ./internal/core/... ./internal/trans/... ./internal/orch/... ./internal/state/... ./internal/fleet/...
 
-# Scheduler stress gate: the burst/steal equivalence proofs (identical
-# delivered sets + state digests across burst 1/32/adaptive and steal
-# on/off under deterministic loss) and the per-queue FIFO hammer, three
-# times each under -race, to shake out claim-migration races that a single
-# run can miss.
+# Scheduler stress gate: the burst/worker equivalence proofs (identical
+# delivered sets + state digests across burst 1/32/adaptive and one vs two
+# RSS-pinned workers under deterministic loss) and the burst receive path,
+# three times each under -race, to shake out races that a single run can
+# miss.
 stress:
-	$(GO) test -race -count=3 -run 'TestBurstEquivalence|TestStealEquivalence' ./internal/core/
-	$(GO) test -race -count=3 -run 'TestQueueSchedPerQueueFIFO|TestQueueSchedSteal|TestQueueSchedReleaseRings' ./internal/netsim/
+	$(GO) test -race -count=3 -run 'TestBurstEquivalence|TestWorkerEquivalence' ./internal/core/
+	$(GO) test -race -count=3 -run 'TestRecvBurst|TestSendBurst|TestBurstController' ./internal/netsim/
 
 # Piggyback codec fuzz gate: replays the checked-in seed corpus (both wire
 # versions, every v2 update kind, coalesced/elided logs, truncations), then
@@ -89,12 +89,12 @@ bench-guard:
 		| tee /dev/stderr | $(GO) run scripts/bench_compare.go
 
 # Deterministic chaos campaigns under -race: CHAOS_COUNT consecutive seeds
-# (56 sweeps the f=1..2 × {2pl,occ} × {steal,nosteal} matrix 7 times), and
+# (56 sweeps the f=1..2 × {2pl,occ} matrix 14 times), and
 # SOAK_SECONDS keeps extending the sweep for the nightly soak lane. Every
 # failure prints a copy-pasteable single-seed repro command.
 #   make chaos                       # pre-merge: 56 seeds, ~5 min
 #   make chaos SOAK_SECONDS=600      # nightly: at least 10 min of seeds
-#   make chaos CHAOS_COUNT=8         # quick matrix sweep
+#   make chaos CHAOS_COUNT=4         # quick matrix sweep
 CHAOS_COUNT  ?= 56
 SOAK_SECONDS ?= 0
 CHAOS_TIMEOUT := $(shell expr $(SOAK_SECONDS) + 1200)
@@ -125,11 +125,11 @@ bench-bridge:
 
 # Machine-readable benchmark snapshot: runs the Figure 5 and Figure 7
 # benchmarks at the configured burst size — including the skewed
-# elephant-queue benchmark (BenchmarkFig5Skewed, steal vs nosteal; the
-# steal win needs ≥2 physical cores, see DESIGN.md §9) — plus the
+# elephant-queue benchmark (BenchmarkFig5Skewed, DESIGN.md §9) — plus the
 # million-flow store sweep (fixed iteration count, see bench-guard) and the
 # multi-process bridge benchmark, and writes BENCH_<date>.json with pps,
-# ns/op, and allocs/op per sub-benchmark.
+# ns/op, and allocs/op per sub-benchmark, headed by the host's CPU count,
+# GOMAXPROCS and Go version.
 #   make bench-json            # default burst (32)
 #   make bench-json BURST=1    # per-packet baseline for comparison
 #   make bench-json BURST=0    # adaptive NAPI-style burst sizing
@@ -138,7 +138,8 @@ bench-json:
 	  $(GO) test . -run=NONE -bench=MillionFlows -benchtime=2000000x -benchmem ; \
 	  $(GO) test ./internal/trans -run=NONE -bench=BridgeThroughput -benchtime=2s -benchmem ; } \
 		| tee /dev/stderr \
-		| awk -v burst=$(BURST) -v date=$(DATE) -f scripts/bench_json.awk \
+		| awk -v burst=$(BURST) -v date=$(DATE) -v nproc=$$(nproc) \
+			-v goversion="$$($(GO) env GOVERSION)" -f scripts/bench_json.awk \
 		> BENCH_$(DATE).json
 	@echo wrote BENCH_$(DATE).json
 

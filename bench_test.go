@@ -128,33 +128,22 @@ func BenchmarkFig5(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5Skewed measures the work-stealing scheduler's headline win:
-// a Zipf-skewed workload (one elephant flow plus background flows, all
-// RSS-colliding onto one ingress queue of the 4-queue no-stealing layout)
-// through FTC at workers=4, with stealing on (the default) vs off. Without
-// stealing the elephant queue pins one worker while three idle; stealing
-// redistributes its flow partitions, so steal pps should approach the
-// uniform-flow number instead of collapsing to ~1 worker's worth.
+// BenchmarkFig5Skewed measures the elephant-queue worst case: a
+// Zipf-skewed workload (one elephant flow plus background flows, all
+// RSS-colliding onto one ingress queue of the 4-queue layout) through FTC
+// at workers=4. One worker carries every flow while three idle, so pps
+// sits near one worker's worth; EXPERIMENTS.md compares it with the work
+// stealing this repository used to run.
 func BenchmarkFig5Skewed(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		noSteal bool
-	}{{"steal", false}, {"nosteal", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			p := exp.Params{Flows: 64, PacketSize: 128, Burst: envBurst(),
-				Skew: 1.2, NoSteal: mode.noSteal}
-			// Per-flow state: inter-flow parallelism is what the scheduler
-			// redistributes; shared Gen keys would serialize workers on
-			// partition locks regardless of scheduling.
-			s, err := exp.BuildSUT(exp.FTC, exp.SingleGenPerFlow(16), p, 4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ResetTimer()
-			pumpSUTChunked(b, s)
-		})
+	p := exp.Params{Flows: 64, PacketSize: 128, Burst: envBurst(), Skew: 1.2}
+	// Per-flow state, so workers never serialize on shared partition locks.
+	s, err := exp.BuildSUT(exp.FTC, exp.SingleGenPerFlow(16), p, 4)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer s.Close()
+	b.ResetTimer()
+	pumpSUTChunked(b, s)
 }
 
 // pumpSUTChunked is pumpSUT with chunked generator sends: one route

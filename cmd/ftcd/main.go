@@ -142,8 +142,6 @@ func main() {
 		egress    = flag.String("egress", "", "UDP address released packets are sent to (last replica only)")
 		burst     = flag.Int("burst", 0, "frames per batch, in-process and on the tunnel (0 = adaptive NAPI-style sizing, 1 = per-packet)")
 		maxBurst  = flag.Int("max-burst", netsim.DefaultMaxBurst, "adaptive burst ceiling (with -burst 0)")
-		noSteal   = flag.Bool("no-steal", false, "pin workers 1:1 onto ingress queues instead of work stealing")
-		stealFact = flag.Int("steal-factor", core.DefaultStealFactor, "steal partitions per worker (with stealing enabled)")
 		mtuBudget = flag.Int("mtu-budget", trans.DefaultMTUBudget, "tunnel datagram packing budget in bytes")
 		sockets   = flag.Int("sockets", 0, "SO_REUSEPORT data-plane sockets sharing the UDP port (0 = GOMAXPROCS; non-Linux always 1)")
 		sockBuf   = flag.Int("sockbuf", 0, "requested SO_RCVBUF/SO_SNDBUF per data-plane socket in bytes (0 = OS default)")
@@ -160,7 +158,7 @@ func main() {
 	}
 
 	cfg := core.Config{F: *f, NumMB: numMB, Workers: *workers, Burst: *burst,
-		MaxBurst: *maxBurst, NoSteal: *noSteal, StealFactor: *stealFact}.WithDefaults()
+		MaxBurst: *maxBurst}.WithDefaults()
 	ring := cfg.Ring()
 	if *index < 0 || *index >= ring.M() {
 		log.Fatalf("ftcd: index %d out of ring range 0..%d", *index, ring.M()-1)
@@ -255,7 +253,7 @@ func main() {
 	log.Printf("ftcd: tunnel syscalls send=%d recv=%d over %d sockets (rcvbuf %d, sndbuf %d)",
 		ts.SendSyscalls, ts.RecvSyscalls, ts.Sockets, ts.EffRcvBuf, ts.EffSndBuf)
 	sched := replica.Sched()
-	log.Printf("ftcd: sched steals=%d burst=%d clamps=%d queue depths=%v",
-		sched.Steals.Value(), sched.Burst.Value(), local.Clamps(),
+	log.Printf("ftcd: sched burst=%d clamps=%d queue depths=%v",
+		sched.Burst.Value(), local.Clamps(),
 		local.QueueDepths(nil))
 }

@@ -85,8 +85,8 @@ func replayChaos(seed int64) int {
 		fmt.Fprintf(os.Stderr, "ftclab: seed %d derived an invalid schedule: %v\n", seed, err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "chaos: replaying seed %d: f=%d engine=%s nosteal=%v chain=%d flows=%d packets=%d episodes=%d linkfaults=%d\n",
-		seed, c.F, c.Engine, c.NoSteal, c.ChainLen, c.Flows, c.Packets, len(c.Episodes), len(c.LinkFaults))
+	fmt.Fprintf(os.Stderr, "chaos: replaying seed %d: f=%d engine=%s chain=%d flows=%d packets=%d episodes=%d linkfaults=%d\n",
+		seed, c.F, c.Engine, c.ChainLen, c.Flows, c.Packets, len(c.Episodes), len(c.LinkFaults))
 	res := chaos.Run(c, chaos.Options{Trace: func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "chaos: "+format+"\n", args...)
 	}})

@@ -43,8 +43,8 @@ func runSeed(t *testing.T, seed int64, verbose bool) *chaos.Result {
 		for _, v := range res.Violations {
 			t.Errorf("seed %d: %s", seed, v)
 		}
-		t.Errorf("seed %d (f=%d engine=%s nosteal=%v): %d invariant violations\nrepro: %s",
-			seed, c.F, c.Engine, c.NoSteal, len(res.Violations), repro(seed))
+		t.Errorf("seed %d (f=%d engine=%s): %d invariant violations\nrepro: %s",
+			seed, c.F, c.Engine, len(res.Violations), repro(seed))
 	}
 	t.Logf("%s", res.OneLine())
 	return res
@@ -170,17 +170,17 @@ func TestScheduleDeterministicAndValid(t *testing.T) {
 	}
 }
 
-// TestScheduleMatrixCoverage checks that any 8 consecutive seeds sweep the
-// full f=1..2 × {2pl,occ} × {steal,nosteal} matrix.
+// TestScheduleMatrixCoverage checks that any 4 consecutive seeds sweep the
+// full f=1..2 × {2pl,occ} matrix.
 func TestScheduleMatrixCoverage(t *testing.T) {
 	for _, base := range []int64{1, 17, 1000} {
 		seen := map[string]bool{}
-		for seed := base; seed < base+8; seed++ {
+		for seed := base; seed < base+4; seed++ {
 			c := chaos.Derive(seed)
-			seen[fmt.Sprintf("f%d/%s/nosteal=%v", c.F, c.Engine, c.NoSteal)] = true
+			seen[fmt.Sprintf("f%d/%s", c.F, c.Engine)] = true
 		}
-		if len(seen) != 8 {
-			t.Fatalf("seeds %d..%d cover %d of 8 matrix cells: %v", base, base+7, len(seen), seen)
+		if len(seen) != 4 {
+			t.Fatalf("seeds %d..%d cover %d of 4 matrix cells: %v", base, base+3, len(seen), seen)
 		}
 	}
 }

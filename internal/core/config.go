@@ -33,17 +33,6 @@ type Config struct {
 	// MaxBurst caps the adaptive controller's growth (default
 	// netsim.DefaultMaxBurst). Ignored when Burst > 0 pins a fixed size.
 	MaxBurst int
-	// NoSteal pins workers 1:1 onto ingress queues (the pre-stealing
-	// layout). By default, with Workers > 1, each replica node exposes
-	// Workers×StealFactor ingress queues that double as steal-granularity
-	// flow partitions: a worker drains its home partitions first and steals
-	// the deepest backlogged sibling partition when they run empty,
-	// preserving per-flow FIFO order (DESIGN.md §9).
-	NoSteal bool
-	// StealFactor is the number of flow partitions (ingress queues) per
-	// worker when stealing is enabled (default 8). More partitions steal at
-	// a finer grain but cost more scan work per scheduling decision.
-	StealFactor int
 	// QueueCap is the per-ingress-queue capacity in frames.
 	QueueCap int
 	// PropagateEvery is the forwarder's idle timer: with no incoming
@@ -135,9 +124,6 @@ func (c Config) WithDefaults() Config {
 	if c.Burst > c.MaxBurst {
 		c.MaxBurst = c.Burst
 	}
-	if c.StealFactor <= 0 {
-		c.StealFactor = DefaultStealFactor
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
 	}
@@ -180,10 +166,6 @@ func (c Config) WithDefaults() Config {
 // reference point for baselines and equivalence tests.
 const DefaultBurst = 32
 
-// DefaultStealFactor is the default number of flow partitions (ingress
-// queues) per worker when work stealing is enabled.
-const DefaultStealFactor = 8
-
 // maxBurst returns the largest burst a worker may drain — the fixed size,
 // or the adaptive cap. Receive buffers are sized with it.
 func (c Config) maxBurst() int {
@@ -194,17 +176,8 @@ func (c Config) maxBurst() int {
 }
 
 // NumIngressQueues is the ingress-queue count a replica node needs under
-// this config: Workers queues pinned 1:1 when stealing is off or moot
-// (single worker), Workers×StealFactor flow partitions otherwise. Keeping
-// the partition count a multiple of Workers makes the stride home layout
-// (partition p homes on worker p mod Workers) agree with RSS hashing at
-// either queue count.
-func (c Config) NumIngressQueues() int {
-	if c.NoSteal || c.Workers <= 1 {
-		return c.Workers
-	}
-	return c.Workers * c.StealFactor
-}
+// this config: one RSS queue per worker (DESIGN.md §9).
+func (c Config) NumIngressQueues() int { return c.Workers }
 
 // Ring derives the chain's logical ring from the configuration.
 func (c Config) Ring() Ring { return Ring{N: c.NumMB, F: c.F, Groups: c.Groups} }

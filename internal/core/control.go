@@ -180,7 +180,7 @@ func (r *Replica) handleFetch(_ netsim.NodeID, req []byte) ([]byte, error) {
 		fs.Snapshot = h.Store().Snapshot()
 		h.fetchMu.Unlock()
 	case r.followers[mb] != nil:
-		fs.Vector, fs.Logs, fs.Snapshot = r.followers[mb].Fetch()
+		fs.Vector, fs.Logs, fs.Snapshot = r.followers[mb].Fetch(r.gen.Load())
 	default:
 		return nil, fmt.Errorf("core: replica %d has no state for mb %d", r.idx, mb)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -145,4 +147,44 @@ func TestExpiryRefreshKeepsActiveFlows(t *testing.T) {
 	if err := h.chain.CheckConvergence(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFollowerChurnHoldsNoTTLState is the follower TTL-wheel regression: a
+// follower store applies a replicated write and deletion for each of 100k
+// flows of a TTL-aged middlebox, ending with no live keys. Followers never
+// collect expired keys, so TTL bookkeeping armed there is never reclaimed
+// (it grew ~1.6 MB per 100k flows); the store's heap must stay flat.
+func TestFollowerChurnHoldsNoTTLState(t *testing.T) {
+	cfg := testConfig()
+	cfg.NumMB = 2
+	cfg.FlowTTL = time.Second
+	mbs := []Middlebox{&ttlFlowMB{flowMB{"a"}}, &countMB{"c1"}}
+	ttl, _ := ChainPrefixes(mbs)
+	r := NewReplica(cfg, ReplicaSpec{Index: 1, MB: mbs[1], TTLPrefixes: ttl})
+	st := r.Follower(0).Store()
+
+	var ms runtime.MemStats
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	keys := make([]string, 100_000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("a-%d", i)
+	}
+	before := heap()
+	for _, k := range keys {
+		p := st.PartitionOf(k)
+		st.Apply([]state.Update{{Key: k, Value: []byte{1}, Partition: p}})
+		st.Apply([]state.Update{{Key: k, Partition: p}})
+	}
+	after := heap()
+	if st.Len() != 0 {
+		t.Fatalf("follower holds %d keys after churn, want 0", st.Len())
+	}
+	if grew := int64(after) - int64(before); grew > 256<<10 {
+		t.Fatalf("follower store grew %d KB over 100k churned flows", grew>>10)
+	}
+	runtime.KeepAlive(keys)
 }

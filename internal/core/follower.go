@@ -24,6 +24,12 @@ type Follower struct {
 
 	locks []sync.Mutex // per-partition apply locks; max[p] is guarded by locks[p]
 	max   []uint64
+	// cut fences out the generation a recovery is replacing: logs that
+	// arrived in a generation below cut are refused. A recovery fetch sets
+	// it under every apply lock, so no log of the old generation — in
+	// flight, or parked on logs that died with a head — lands after the cut
+	// the recovering replica restores.
+	cut atomic.Uint32
 
 	notifyMu sync.Mutex
 	// notify is closed when MAX advances and lazily recreated by the next
@@ -42,7 +48,14 @@ const (
 	Duplicate
 	// Blocked: prior logs are missing; the caller must wait or repair.
 	Blocked
+	// Fenced: the log arrived in a generation a recovery is replacing
+	// (see Follower.cut); its packet is stale.
+	Fenced
 )
+
+// anyGen marks an apply that skips the lineage fence: logs replayed
+// outside any packet generation (tests, WaitApply).
+const anyGen = ^uint32(0)
 
 // NewFollower creates a follower replica for middlebox mb.
 func NewFollower(mb uint16, store state.Backend) *Follower {
@@ -81,20 +94,24 @@ func (f *Follower) unlockVec(v SparseVec) {
 // Apply attempts to apply one piggyback log. It never blocks: a log whose
 // dependencies are unmet returns Blocked and the caller decides whether to
 // wait (WaitApply) or request repair.
-func (f *Follower) Apply(l Log) ApplyOutcome { return f.apply(l, nil) }
+func (f *Follower) Apply(l Log) ApplyOutcome { return f.apply(l, anyGen, nil) }
 
 // apply is Apply with an optional retransmission-buffer sink: when sink is
 // non-nil, an installed log's retained copy is appended to *sink instead of
 // the buffer, so burst workers can append a whole burst's logs under one
 // buffer lock at the flush. MAX still advances here, atomically with the
 // install — only the buffer append is deferred (repair requests racing the
-// deferral retry within RepairEvery).
-func (f *Follower) apply(l Log, sink *[]Log) ApplyOutcome {
+// deferral retry within RepairEvery). gen is the generation the log arrived
+// in, checked against the lineage fence under the apply locks.
+func (f *Follower) apply(l Log, gen uint32, sink *[]Log) ApplyOutcome {
 	if len(l.Vec) == 0 {
 		return Applied // touched nothing; nothing to order or install
 	}
 	f.lockVec(l.Vec)
 	defer f.unlockVec(l.Vec)
+	if gen < f.cut.Load() {
+		return Fenced
+	}
 	if l.Coalesced() {
 		return f.applyCoalescedLocked(l, sink)
 	}
@@ -138,7 +155,10 @@ func (f *Follower) apply(l Log, sink *[]Log) ApplyOutcome {
 // different partitions in opposite orders (run A covers part p before run
 // C but part q after it), leaving each run waiting on the other's base.
 // Per-partition application makes progress on every delivery; partitions
-// left behind complete on a later resend or repair retransmission.
+// left behind complete on a later resend or repair retransmission. Until
+// they do the log reports Blocked, so the caller waits rather than treat
+// the run as replicated: a tail that stripped a partly installed run
+// would release its packet before the run's state was f+1 times copied.
 //
 // A partition whose MAX lands strictly inside the run (a recovery snapshot
 // already holds a prefix of the run's writes — the head's vector advances
@@ -146,9 +166,15 @@ func (f *Follower) apply(l Log, sink *[]Log) ApplyOutcome {
 // values: re-installing last-writer values is idempotent. A delta update
 // would double-count there, so such a partition waits for the full-value
 // form that repair serves from the predecessor's buffer.
+//
+// The retransmission buffer keeps only the partitions this delivery
+// installed. A buffered log's partitions must all be in this follower's
+// state: a recovery restores a new head from this store and buffer, and
+// the new head resends its buffer as its own lineage's logs.
 func (f *Follower) applyCoalescedLocked(l Log, sink *[]Log) ApplyOutcome {
 	var upds []state.Update
-	applied, behind := false, false
+	var kept []int // indices of the partitions installed here
+	behind := false
 	for i := range l.Vec {
 		p, end, base := l.Vec[i].Part, l.Vec[i].Seq, l.Base[i].Seq
 		switch {
@@ -178,21 +204,32 @@ func (f *Follower) applyCoalescedLocked(l Log, sink *[]Log) ApplyOutcome {
 			}
 		}
 		f.max[p] = end + 1
-		applied = true
+		kept = append(kept, i)
 	}
-	if !applied {
+	if len(kept) == 0 {
 		if behind {
 			return Blocked
 		}
 		return Duplicate
 	}
 	f.store.ApplyOwned(upds)
+	buffered := l.Retain()
+	if len(kept) < len(l.Vec) {
+		buffered = Log{MB: l.MB, Flags: l.Flags, Updates: upds}
+		for _, i := range kept {
+			buffered.Vec = append(buffered.Vec, l.Vec[i])
+			buffered.Base = append(buffered.Base, l.Base[i])
+		}
+	}
 	if sink != nil {
-		*sink = append(*sink, l.Retain())
+		*sink = append(*sink, buffered)
 	} else {
-		f.buf.add(l.Retain())
+		f.buf.add(buffered)
 	}
 	f.wake()
+	if behind {
+		return Blocked
+	}
 	return Applied
 }
 
@@ -254,14 +291,24 @@ type parking struct {
 // waitApply is WaitApply with an optional buffer sink (see apply) and
 // parking behaviour (nil for none).
 func (f *Follower) waitApply(l Log, repairEvery time.Duration, onRepair func(), deadline time.Duration, sink *[]Log, p *parking) bool {
-	if f.apply(l, sink) != Blocked {
+	if f.apply(l, p.lineage(), sink) != Blocked {
 		return true
 	}
-	return f.park(l, repairEvery, onRepair, deadline, sink, p)
+	return f.park(l, repairEvery, onRepair, deadline, sink, p) != Blocked
 }
 
-// park is waitApply's blocked path.
-func (f *Follower) park(l Log, repairEvery time.Duration, onRepair func(), deadline time.Duration, sink *[]Log, p *parking) bool {
+// lineage is the generation a parked log arrived in (anyGen without one).
+func (p *parking) lineage() uint32 {
+	if p == nil {
+		return anyGen
+	}
+	return p.want
+}
+
+// park is waitApply's blocked path. It returns the final apply outcome, or
+// Blocked once it gives up.
+func (f *Follower) park(l Log, repairEvery time.Duration, onRepair func(), deadline time.Duration, sink *[]Log, p *parking) ApplyOutcome {
+	gen := p.lineage()
 	var elapsed time.Duration
 	parked := false
 	defer func() {
@@ -273,8 +320,8 @@ func (f *Follower) park(l Log, repairEvery time.Duration, onRepair func(), deadl
 		ch := f.notifyCh()
 		// Apply after taking the channel: an Apply that advanced MAX
 		// between our last attempt and notifyCh would otherwise be missed.
-		if out := f.apply(l, sink); out != Blocked {
-			return true
+		if out := f.apply(l, gen, sink); out != Blocked {
+			return out
 		}
 		if p != nil && p.gate != nil && !parked {
 			if p.settle != nil {
@@ -297,11 +344,11 @@ func (f *Follower) park(l Log, repairEvery time.Duration, onRepair func(), deadl
 			}
 			elapsed += wait
 			if deadline > 0 && elapsed >= deadline {
-				return false
+				return Blocked
 			}
 		}
 		if p != nil && p.gen != nil && p.gen.Load() != p.want {
-			return false
+			return Blocked
 		}
 	}
 }
@@ -323,9 +370,16 @@ func (f *Follower) Max() []uint64 {
 // cut: a MAX torn against the snapshot would make a delta update, or a
 // multi-partition log racing the copy, double-apply or vanish at the
 // recovered replica.
-func (f *Follower) Fetch() (max []uint64, logs []Log, snap []state.Update) {
+// From then on logs of generations up to gen, the source's, are refused
+// (see cut): the recovery ends by moving the chain to a later generation,
+// and what the refused packets carried that the lineage keeps is resent
+// from the head's retransmission buffer in it.
+func (f *Follower) Fetch(gen uint32) (max []uint64, logs []Log, snap []state.Update) {
 	for i := range f.locks {
 		f.locks[i].Lock()
+	}
+	if f.cut.Load() <= gen {
+		f.cut.Store(gen + 1)
 	}
 	max = CloneDense(f.max)
 	logs = f.buf.all()

@@ -43,12 +43,14 @@ type Stats struct {
 }
 
 // SchedStats exposes the scheduling layer's observability (DESIGN.md §9):
-// how often workers stole a sibling's flow partition and the burst budget
-// the adaptive controller last settled on. Per-queue depths and selector
-// clamps live on the netsim node (QueueDepths, Clamps).
+// the burst budget the adaptive controller last settled on. Per-queue
+// depths and selector clamps live on the netsim node (QueueDepths, Clamps).
 type SchedStats struct {
-	Steals metrics.Counter // bursts drained from a non-home flow partition
-	Burst  metrics.Gauge   // most recent per-worker burst budget
+	// Steals counted bursts drained from a sibling worker's queue when
+	// workers stole work. Each worker now owns its queue, so it stays 0; it
+	// is kept so dashboards and benchmark records that read it still do.
+	Steals metrics.Counter
+	Burst  metrics.Gauge // most recent per-worker burst budget
 }
 
 // Replica is one FTC chain node: it hosts a middlebox and the head of that
@@ -127,9 +129,8 @@ type ReplicaSpec struct {
 	// TTLPrefixes maps a middlebox index to the key prefixes whose entries
 	// age out under Config.FlowTTL (nil = no aging for that middlebox).
 	// ChainPrefixes derives it from each middlebox's FlowTTLer
-	// implementation; a replica needs the mapping for every middlebox it
-	// follows, not just the one it hosts, so follower stores arm the same
-	// TTLs as the head.
+	// implementation. Only the hosted middlebox's head store arms TTLs, so
+	// only its prefixes matter here.
 	TTLPrefixes func(mb int) []string
 	// DeltaPrefixes maps a middlebox index to the key prefixes whose 8-byte
 	// counter values travel as deltas under the piggyback diet (nil = no
@@ -164,24 +165,17 @@ func NewReplica(cfg Config, spec ReplicaSpec) *Replica {
 		r.ver = msgV1
 	}
 	r.tails = ring.TailsOf(spec.Index)
-	ttlFor := func(mb int) []string {
-		if cfg.FlowTTL <= 0 || spec.TTLPrefixes == nil {
-			return nil
-		}
-		return spec.TTLPrefixes(mb)
-	}
-	armTTL := func(st state.Backend, prefixes []string) {
-		st.ConfigureExpiry(state.Expiry{
-			TTL:      cfg.FlowTTL,
-			Prefixes: prefixes,
-			Clock:    cfg.ExpiryClock,
-		})
-	}
 	if spec.MB != nil {
 		r.head = NewHead(uint16(spec.Index), cfg.NewStore(cfg.Partitions))
-		if pre := ttlFor(spec.Index); len(pre) > 0 {
-			armTTL(r.head.Store(), pre)
-			r.expiryOn = true
+		if cfg.FlowTTL > 0 && spec.TTLPrefixes != nil {
+			if pre := spec.TTLPrefixes(spec.Index); len(pre) > 0 {
+				r.head.Store().ConfigureExpiry(state.Expiry{
+					TTL:      cfg.FlowTTL,
+					Prefixes: pre,
+					Clock:    cfg.ExpiryClock,
+				})
+				r.expiryOn = true
+			}
 		}
 		if r.diet && spec.DeltaPrefixes != nil {
 			// Only the head classifies deltas (at its commit points);
@@ -192,14 +186,11 @@ func NewReplica(cfg Config, spec ReplicaSpec) *Replica {
 		}
 	}
 	for _, j := range ring.FollowerOf(spec.Index) {
-		f := NewFollower(uint16(j), cfg.NewStore(cfg.Partitions))
-		// Followers arm the same TTL prefixes so restored/recovered stores
-		// keep aging, but they never expire keys themselves: deletions only
-		// arrive as replicated updates from the head.
-		if pre := ttlFor(j); len(pre) > 0 {
-			armTTL(f.Store(), pre)
-		}
-		r.followers[uint16(j)] = f
+		// Follower stores arm no TTLs: they never collect expired keys —
+		// deletions arrive as replicated updates from the head — so an armed
+		// wheel would only grow. A replica that takes over a head builds a
+		// fresh head store, whose Restore arms every restored flow.
+		r.followers[uint16(j)] = NewFollower(uint16(j), cfg.NewStore(cfg.Partitions))
 	}
 	for j := 0; j < cfg.NumMB; j++ {
 		r.commitSeen[uint16(j)] = make([]uint64, cfg.Partitions)
@@ -250,29 +241,17 @@ func (r *Replica) SetGen(g uint32) {
 	}
 }
 
-// Start launches the worker threads and, on the first node, the propagating
-// timer, and registers the control-plane handlers. With more ingress queues
-// than configured workers (the stealing layout, Config.NumIngressQueues),
-// Workers goroutines schedule over the queues claim-based; otherwise one
-// worker pins to each queue, the pre-stealing 1:1 layout.
+// Start launches the worker threads — one per ingress queue, each pinned to
+// its queue (DESIGN.md §9) — and, on the first node, the propagating timer,
+// and registers the control-plane handlers.
 func (r *Replica) Start() {
 	r.registerControl()
-	if nq := r.sim.NumQueues(); !r.cfg.NoSteal && nq > r.cfg.Workers {
-		for i := 0; i < r.cfg.Workers; i++ {
-			r.wg.Add(1)
-			go func(i int) {
-				defer r.wg.Done()
-				r.runStealing(i)
-			}(i)
-		}
-	} else {
-		for q := 0; q < nq; q++ {
-			r.wg.Add(1)
-			go func(q int) {
-				defer r.wg.Done()
-				r.runPinned(q)
-			}(q)
-		}
+	for q := 0; q < r.sim.NumQueues(); q++ {
+		r.wg.Add(1)
+		go func(q int) {
+			defer r.wg.Done()
+			r.runWorker(q)
+		}(q)
 	}
 	if r.fwd != nil {
 		r.wg.Add(1)
@@ -284,9 +263,9 @@ func (r *Replica) Start() {
 	}
 }
 
-// runPinned is the 1:1 worker loop: block on one ingress queue, drain up
-// to the controller's budget, process, flush, repeat.
-func (r *Replica) runPinned(q int) {
+// runWorker is the worker loop: block on one ingress queue, drain up to the
+// controller's budget, process, flush, repeat.
+func (r *Replica) runWorker(q int) {
 	w := r.newWorker()
 	ctl := netsim.NewBurstController(r.cfg.Burst, r.cfg.MaxBurst)
 	for {
@@ -303,43 +282,6 @@ func (r *Replica) runPinned(q int) {
 		r.handleBurst(w, n)
 		ctl.Observe(n, r.sim.QueueLen(q))
 		r.sched.Burst.Set(int64(ctl.Size()))
-	}
-}
-
-// runStealing is the work-stealing worker loop: claim a non-empty flow
-// partition (home first, then the deepest backlogged sibling partition),
-// drain one burst, process it AND flush its deferred effects, and only
-// then release the claim. Holding the claim through the flush is what
-// preserves per-flow FIFO order across claim migrations: a flow hashes to
-// exactly one partition, and a partition never has frames in flight at
-// two workers at once (DESIGN.md §9).
-func (r *Replica) runStealing(idx int) {
-	w := r.newWorker()
-	ctl := netsim.NewBurstController(r.cfg.Burst, r.cfg.MaxBurst)
-	sched := r.sim.NewQueueSched(idx, r.cfg.Workers)
-	for {
-		q, stolen := sched.Acquire()
-		if q < 0 {
-			if w.batch != nil {
-				w.batch.Flush()
-			}
-			return
-		}
-		if stolen {
-			r.sched.Steals.Inc()
-		}
-		n := r.sim.DrainClaimed(q, w.in[:ctl.Size()])
-		if n > 0 {
-			r.handleBurst(w, n)
-		}
-		depth := r.sim.QueueLen(q)
-		sched.Release(q)
-		ctl.Observe(n, depth)
-		r.sched.Burst.Set(int64(ctl.Size()))
-		// n == 0 is not a crash signal: a claim can be won on a queue a
-		// sibling drained empty moments earlier, and a crash mid-drain is
-		// caught by the next Acquire returning q == -1 — the only exit
-		// path, so a live replica never sheds workers.
 	}
 }
 
@@ -654,7 +596,18 @@ func (r *Replica) processPacket(pkt *wire.Packet, msg *Message, w *worker) bool 
 			keptLogs = append(keptLogs, l) // passing through (not in this group)
 			continue
 		}
-		if f.apply(l, sink) == Blocked && !r.parkApply(f, l, msg.Gen, sink, w) {
+		out := f.apply(l, msg.Gen, sink)
+		if out == Blocked {
+			out = r.parkApply(f, l, msg.Gen, sink, w)
+		}
+		r.pendFor(w, f)
+		if out == Fenced {
+			// A recovery restored this log's middlebox from a cut that
+			// excludes it: the packet belongs to the replaced lineage.
+			r.stats.StaleGen.Add(1)
+			return false
+		}
+		if out == Blocked {
 			if r.gen.Load() != msg.Gen {
 				// A recovery moved the chain on while the log waited: the
 				// packet is stale, as it would be on arrival now.
@@ -664,11 +617,6 @@ func (r *Replica) processPacket(pkt *wire.Packet, msg *Message, w *worker) bool 
 			r.stats.ApplyTimeouts.Add(1)
 			keptLogs = append(keptLogs, l)
 			continue
-		}
-		if w != nil {
-			for len(w.pendF) < len(w.pendL) {
-				w.pendF = append(w.pendF, f)
-			}
 		}
 		if r.ring.IsTail(r.idx, int(l.MB)) {
 			continue // f+1 times replicated; strip (§5.1)
@@ -732,20 +680,27 @@ func (r *Replica) processPacket(pkt *wire.Packet, msg *Message, w *worker) bool 
 	// every propagating packet, so idle chains still make release progress
 	// without paying a full MAX snapshot per packet. Burst workers collapse
 	// the check to the burst boundary: ticks accumulate per packet, but the
-	// MAX snapshot rides the burst's last packet (CommitRefresh still bounds
-	// staleness in time). With Burst=1 every packet is a boundary, which is
-	// exactly the per-packet schedule.
+	// MAX snapshot rides the burst's last packet. With Burst=1 every packet
+	// is a boundary, which is exactly the per-packet schedule. Between
+	// ticks, CommitRefresh bounds staleness in time; such a refresh carries
+	// only the vectors that advanced since this tail last announced them,
+	// so a read-mostly group's vector is not resent unchanged on every
+	// packet. The tick and propagating packets still carry every vector, so
+	// a lost announcement is repeated.
 	if len(r.tails) > 0 {
 		disseminate := msg.Propagating()
+		all := disseminate
 		if !disseminate {
+			tick := r.tailTick.Add(1)%commitEvery == 1
 			if w == nil {
-				disseminate = r.tailTick.Add(1)%commitEvery == 1 || r.commitStale()
+				all = tick
+				disseminate = tick || r.commitStale()
 			} else {
-				if r.tailTick.Add(1)%commitEvery == 1 {
+				if tick {
 					w.dissemDue = true
 				}
 				if w.last && (w.dissemDue || r.commitStale()) {
-					disseminate = true
+					disseminate, all = true, w.dissemDue
 					w.dissemDue = false
 				}
 			}
@@ -761,7 +716,7 @@ func (r *Replica) processPacket(pkt *wire.Packet, msg *Message, w *worker) bool 
 				} else if r.head != nil && int(r.head.MB()) == j {
 					dense = r.head.Vector() // F == 0: the head is its own tail
 				}
-				if dense != nil {
+				if dense != nil && (all || r.commitAdvanced(uint16(j), dense)) {
 					sv := SparseFromDense(dense)
 					r.mergeCommit(uint16(j), sv)
 					msg.Commits = append(msg.Commits, Commit{MB: uint16(j), Vec: sv})
@@ -813,15 +768,25 @@ func (r *Replica) forward(pkt *wire.Packet, msg *Message, w *worker) {
 	}
 }
 
+// pendFor records f as the follower whose buffer takes the logs the worker
+// has sunk since the last call.
+func (r *Replica) pendFor(w *worker, f *Follower) {
+	for w != nil && len(w.pendF) < len(w.pendL) {
+		w.pendF = append(w.pendF, f)
+	}
+}
+
 // parkApply waits out a follower log that arrived in generation gen and
 // is blocked on a missing predecessor, repairing from the group
 // predecessor meanwhile. A burst worker holds its head's fetch gate, so it
 // settles the burst so far and lets a recovery fetch through while parked.
-func (r *Replica) parkApply(f *Follower, l Log, gen uint32, sink *[]Log, w *worker) bool {
+func (r *Replica) parkApply(f *Follower, l Log, gen uint32, sink *[]Log, w *worker) ApplyOutcome {
 	p := &parking{gen: &r.gen, want: gen}
 	if w != nil && r.head != nil {
 		p.gate = &r.head.fetchMu
-		p.settle = func() { r.settleBurst(w) }
+		// A partly installed run has sunk its installed part: pair it with
+		// f before the settle flushes the burst's follower logs.
+		p.settle = func() { r.pendFor(w, f); r.settleBurst(w) }
 	}
 	mb := l.MB
 	return f.park(l, r.cfg.RepairEvery, func() { r.repair(mb, f) }, r.cfg.RepairDeadline, sink, p)
@@ -935,6 +900,20 @@ func (r *Replica) spillLogs(logs []Log) {
 // buffers are pruned on an amortized schedule: commits arrive on every
 // packet, but an O(buffer) scan per packet would dominate the data plane
 // (the paper prunes "periodically", §4.1).
+// commitAdvanced reports whether dense commits anything this replica has
+// not yet seen committed for mb.
+func (r *Replica) commitAdvanced(mb uint16, dense []uint64) bool {
+	r.commitMu.Lock()
+	defer r.commitMu.Unlock()
+	seen := r.commitSeen[mb]
+	for p, seq := range dense {
+		if p >= len(seen) || seq > seen[p] {
+			return true
+		}
+	}
+	return false
+}
+
 func (r *Replica) mergeCommit(mb uint16, v SparseVec) {
 	r.commitMu.Lock()
 	seen, ok := r.commitSeen[mb]
@@ -1046,7 +1025,7 @@ func (r *Replica) repair(mb uint16, f *Follower) {
 		return
 	}
 	for _, l := range m.Logs {
-		switch f.Apply(l) {
+		switch f.apply(l, m.Gen, nil) {
 		case Applied:
 			r.stats.RepairedLogs.Add(1)
 		case Duplicate:

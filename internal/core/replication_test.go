@@ -527,3 +527,61 @@ func BenchmarkFollowerApply(b *testing.B) {
 		}
 	}
 }
+
+// TestFollowerBuffersOnlyAppliedPartitions: a coalesced run applies per
+// partition, and a partition still missing earlier logs is skipped, so the
+// run reports Blocked. The retransmission buffer must keep only what was
+// installed — a recovery
+// restores a new head from this store and buffer, and the new head resends
+// its buffer, so a skipped partition's updates would reach other replicas
+// without ever being in the head's state.
+func TestFollowerBuffersOnlyAppliedPartitions(t *testing.T) {
+	f := NewFollower(0, state.New(4))
+	run := Log{
+		MB:    0,
+		Flags: LogCoalesced,
+		Vec:   SparseVec{{Part: 1, Seq: 0}, {Part: 2, Seq: 5}},
+		Base:  SparseVec{{Part: 1, Seq: 0}, {Part: 2, Seq: 5}},
+		Updates: []state.Update{
+			{Key: "a", Value: []byte{1}, Partition: 1},
+			{Key: "b", Value: []byte{2}, Partition: 2},
+		},
+	}
+	if out := f.Apply(run); out != Blocked {
+		t.Fatalf("apply = %v, want Blocked (partition 2 is still missing logs)", out)
+	}
+	logs := f.Buffer().all()
+	if len(logs) != 1 {
+		t.Fatalf("buffer holds %d logs, want 1", len(logs))
+	}
+	got := logs[0]
+	if len(got.Vec) != 1 || got.Vec[0].Part != 1 || len(got.Base) != 1 ||
+		len(got.Updates) != 1 || got.Updates[0].Key != "a" {
+		t.Fatalf("buffered %+v, want only partition 1 and its update", got)
+	}
+	if _, ok := f.Store().Get("b"); ok {
+		t.Fatal("skipped partition's update was installed")
+	}
+}
+
+// TestFollowerFetchFencesOldGeneration: once a follower serves a recovery
+// fetch at generation g, logs arriving in g are refused (their packets are
+// stale), while logs of the next generation still apply.
+func TestFollowerFetchFencesOldGeneration(t *testing.T) {
+	h, f := headFollower(16)
+	var logs []Log
+	for i := 0; i < 2; i++ {
+		l, _ := h.Transaction(func(tx state.Txn) error { return tx.Put("k", []byte{byte(i)}) })
+		logs = append(logs, l)
+	}
+	f.Fetch(3)
+	if out := f.apply(logs[0], 3, nil); out != Fenced {
+		t.Fatalf("generation-3 log after a generation-3 fetch: %v, want Fenced", out)
+	}
+	if out := f.apply(logs[0], 4, nil); out != Applied {
+		t.Fatalf("generation-4 log: %v, want Applied", out)
+	}
+	if out := f.Apply(logs[1]); out != Applied {
+		t.Fatalf("unfenced apply: %v, want Applied", out)
+	}
+}

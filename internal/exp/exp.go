@@ -70,13 +70,9 @@ type Params struct {
 	// Skew, when > 1, makes the generator draw flows from a Zipf
 	// distribution with parameter s = Skew and aligns every flow onto one
 	// RSS ingress queue of a `workers`-queue receiver (tgen.Spec.Skew /
-	// AlignQueues): the elephant-queue worst case that work stealing
-	// redistributes. 0 keeps the uniform round-robin workload.
+	// AlignQueues): the elephant-queue worst case, where one worker carries
+	// every flow. 0 keeps the uniform round-robin workload.
 	Skew float64
-	// NoSteal pins FTC workers 1:1 onto ingress queues, disabling the
-	// work-stealing scheduler (the pre-stealing layout); the skewed
-	// benchmark uses it as its baseline.
-	NoSteal bool
 	// FlowTTL, when > 0, ages idle per-flow state out of FTC stores: any
 	// middlebox implementing core.FlowTTLer has its flow entries deleted
 	// (through the normal replication path) after this much idle time.
@@ -157,7 +153,6 @@ type buildOpts struct {
 	f          int
 	burst      int
 	skew       float64
-	noSteal    bool
 	flowTTL    time.Duration
 	fabricCfg  netsim.Config
 }
@@ -173,7 +168,6 @@ func BuildSUT(kind Kind, factory MBFactory, p Params, workers int) (*SUT, error)
 		f:          p.F,
 		burst:      p.Burst,
 		skew:       p.Skew,
-		noSteal:    p.NoSteal,
 		flowTTL:    p.FlowTTL,
 	})
 }
@@ -200,7 +194,7 @@ func buildSUT(kind Kind, factory MBFactory, o buildOpts) (*SUT, error) {
 		// release latency from being bounded by the idle timer.
 		cfg := core.Config{F: o.f, Workers: o.workers, QueueCap: 4096,
 			PropagateEvery: 200 * time.Microsecond, Burst: o.burst,
-			NoSteal: o.noSteal, FlowTTL: o.flowTTL}
+			FlowTTL: o.flowTTL}
 		c := core.NewChain(cfg, fabric, "ftc", mbs, sink.ID())
 		c.Start()
 		s.chain = c
@@ -232,10 +226,7 @@ func buildSUT(kind Kind, factory MBFactory, o buildOpts) (*SUT, error) {
 	}
 	if o.skew > 1 {
 		// Elephant-queue alignment: every flow collides on one RSS queue of
-		// the no-stealing (Workers-queue) layout, so the skew benchmark's
-		// baseline degenerates to one busy worker. The stealing layout keeps
-		// Workers×StealFactor partitions — a multiple of Workers — so the
-		// same flows spread across StealFactor partitions there.
+		// the Workers-queue layout, so one worker carries the whole load.
 		spec.AlignQueues = o.workers
 	}
 	gen, err := tgen.NewGenerator(fabric, "gen", ingress, spec)

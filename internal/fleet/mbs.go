@@ -15,7 +15,7 @@ import (
 //   - "monitor"     — per-packet counter (Monitor, sharing level 1)
 //   - "firewall"    — stateless rule filter (default allow)
 //   - "nat"         — SimpleNAT; per-flow bindings age under FlowTTL
-//   - "mazunat"     — MazuNAT; forward+reverse bindings age under FlowTTL
+//   - "mazunat"     — MazuNAT; flow entries (port bindings) age under FlowTTL
 //   - "gen"         — write-heavy Gen (16 shared keys)
 //   - "genflows"    — Gen with per-flow keys; ages under FlowTTL
 //   - "flowcounter" — per-flow audit counter; ages under FlowTTL

@@ -25,13 +25,18 @@ import (
 
 // flowKey renders a five-tuple as a state-store key.
 func flowKey(prefix string, t wire.FiveTuple) string {
-	var b [13]byte
+	b := tupleBytes(t)
+	return prefix + string(b[:])
+}
+
+// tupleBytes encodes a five-tuple: addresses, ports, protocol.
+func tupleBytes(t wire.FiveTuple) (b [13]byte) {
 	copy(b[0:4], t.Src[:])
 	copy(b[4:8], t.Dst[:])
 	binary.BigEndian.PutUint16(b[8:10], t.SrcPort)
 	binary.BigEndian.PutUint16(b[10:12], t.DstPort)
 	b[12] = t.Proto
-	return prefix + string(b[:])
+	return b
 }
 
 // counterAdd increments a uint64 counter key inside a transaction.

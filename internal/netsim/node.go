@@ -36,13 +36,6 @@ type Node struct {
 	crashOn  sync.Once
 	crashCh  chan struct{} // closed on Crash; queues are never closed
 
-	// claims are the per-queue worker-claim flags of the stealing scheduler
-	// (sched.go): a set flag means one worker holds exclusive drain rights.
-	claims []atomic.Bool
-	// bell is the scheduler doorbell: enqueue pulses it after a frame is
-	// visible, and Release pulses it when a queue is returned with backlog,
-	// so a worker sleeping in Acquire can never miss work.
-	bell chan struct{}
 	// clamps counts selector results that fell outside [0, queues) and were
 	// clamped to queue 0 — a misconfigured RSS selector would otherwise
 	// silently pile flows onto one queue. Racy callers (full + enqueue) may
@@ -72,8 +65,6 @@ func newNode(id NodeID, f *Fabric, cfg NodeConfig) *Node {
 		queues:   make([]chan Inbound, cfg.Queues),
 		selector: cfg.Selector,
 		crashCh:  make(chan struct{}),
-		claims:   make([]atomic.Bool, cfg.Queues),
-		bell:     make(chan struct{}, cfg.Queues),
 		handlers: make(map[string]RPCHandler),
 	}
 	for i := range n.queues {
@@ -128,7 +119,6 @@ func (n *Node) enqueue(from NodeID, frame []byte, block bool) bool {
 	if block {
 		select {
 		case n.queues[q] <- in:
-			n.ring()
 			return true
 		case <-n.crashCh:
 			return false
@@ -136,23 +126,11 @@ func (n *Node) enqueue(from NodeID, frame []byte, block bool) bool {
 	}
 	select {
 	case n.queues[q] <- in:
-		n.ring()
 		return true
 	case <-n.crashCh:
 		return false
 	default:
 		return false
-	}
-}
-
-// ring pulses the scheduler doorbell after a frame became visible in a
-// queue. The send fails fast (lock-free) when the bell buffer is already
-// full — a pending pulse is enough to wake every sleeping worker in turn,
-// since each wakes, rescans all queues, and re-rings on backlogged release.
-func (n *Node) ring() {
-	select {
-	case n.bell <- struct{}{}:
-	default:
 	}
 }
 

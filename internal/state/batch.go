@@ -229,7 +229,13 @@ func (v *batchView) lockPartition(p uint16) error {
 // view into the transaction's read arena: it stays valid only until the
 // next operation on this transaction. Callers needing the bytes longer must
 // copy (ordinary middlebox code decodes the value immediately).
-func (v *batchView) Get(key string) ([]byte, bool, error) {
+func (v *batchView) Get(key string) ([]byte, bool, error) { return v.read(key, true) }
+
+// Peek implements KeyPlacer.
+func (v *batchView) Peek(key string) ([]byte, bool, error) { return v.read(key, false) }
+
+// read is Get, refreshing the key's TTL when refresh is set.
+func (v *batchView) read(key string, refresh bool) ([]byte, bool, error) {
 	p := v.batch.store.PartitionOf(key)
 	if err := v.lockPartition(p); err != nil {
 		return nil, false, err
@@ -242,7 +248,11 @@ func (v *batchView) Get(key string) ([]byte, bool, error) {
 	}
 	part := &v.batch.store.parts[p]
 	part.mu.Lock()
-	val, ok := part.tab.getRefresh(key, v.batch.store.exp.nowTick())
+	var now int64
+	if refresh {
+		now = v.batch.store.exp.nowTick()
+	}
+	val, ok := part.tab.getRefresh(key, now)
 	var out []byte
 	if ok {
 		out = v.arena(val) // copy out while the mutex protects the buffer
@@ -250,6 +260,12 @@ func (v *batchView) Get(key string) ([]byte, bool, error) {
 	part.mu.Unlock()
 	return out, ok, nil
 }
+
+// PartitionOf implements KeyPlacer.
+func (v *batchView) PartitionOf(key string) uint16 { return v.batch.store.PartitionOf(key) }
+
+// NumPartitions implements KeyPlacer.
+func (v *batchView) NumPartitions() int { return len(v.batch.store.parts) }
 
 // arena copies val into the view's read buffer and returns the copy.
 func (v *batchView) arena(val []byte) []byte {

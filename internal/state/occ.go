@@ -73,7 +73,7 @@ func (s *OCCStore) ConfigureExpiry(e Expiry) {
 	for i := range s.parts {
 		p := &s.parts[i]
 		p.mu.Lock()
-		p.tab.exp = cfg
+		p.tab.setExpiry(cfg)
 		p.mu.Unlock()
 	}
 }
@@ -91,10 +91,10 @@ func (s *OCCStore) CollectExpired(now int64, limit int, buf []string) []string {
 		return buf
 	}
 	tick := s.exp.ticksAt(now)
-	return collectShards(len(s.parts), limit, buf, func(i int, shard []string) []string {
+	return collectShards(len(s.parts), limit, buf, func(i int, take func() bool, shard []string) []string {
 		p := &s.parts[i]
 		p.mu.Lock()
-		shard = p.tab.collectExpired(tick, limit, shard)
+		shard = p.tab.collectExpired(tick, take, shard)
 		p.mu.Unlock()
 		return shard
 	})
@@ -222,7 +222,19 @@ func newOCCTxn(s *OCCStore) *occTxn {
 }
 
 // Get implements Txn: an unlocked versioned read.
-func (t *occTxn) Get(key string) ([]byte, bool, error) {
+func (t *occTxn) Get(key string) ([]byte, bool, error) { return t.read(key, true) }
+
+// Peek implements KeyPlacer.
+func (t *occTxn) Peek(key string) ([]byte, bool, error) { return t.read(key, false) }
+
+// PartitionOf implements KeyPlacer.
+func (t *occTxn) PartitionOf(key string) uint16 { return t.store.PartitionOf(key) }
+
+// NumPartitions implements KeyPlacer.
+func (t *occTxn) NumPartitions() int { return len(t.store.parts) }
+
+// read is Get, refreshing the key's TTL when refresh is set.
+func (t *occTxn) read(key string, refresh bool) ([]byte, bool, error) {
 	pi := t.store.PartitionOf(key)
 	t.touched[pi] = struct{}{}
 	if w, ok := t.writes[key]; ok { // read-your-writes
@@ -258,8 +270,10 @@ func (t *occTxn) Get(key string) ([]byte, bool, error) {
 		ver = s.ver
 		out = make([]byte, len(s.val))
 		copy(out, s.val) // copy out while the mutex protects the buffer
-		if nt := t.store.exp.nowTick(); nt > 0 {
-			p.tab.refresh(si, nt)
+		if refresh {
+			if nt := t.store.exp.nowTick(); nt > 0 {
+				p.tab.refresh(si, nt)
+			}
 		}
 	}
 	if lock {
@@ -331,8 +345,7 @@ func (t *occTxn) DeleteExpired(key string, now int64) (bool, error) {
 	var ver uint64
 	if si := p.tab.getSlot(key); si >= 0 {
 		ver = p.tab.slots[si].ver
-		s := &p.tab.slots[si]
-		due = s.exp != 0 && s.exp <= cfg.ticksAt(now)
+		due = p.tab.dueAt(si, cfg.ticksAt(now))
 	}
 	if lock {
 		p.mu.Unlock()

@@ -74,6 +74,26 @@ type ExpiryTxn interface {
 	DeleteExpired(key string, now int64) (bool, error)
 }
 
+// KeyPlacer is the optional transaction extension for middleboxes that lay
+// related keys out in one state partition, so a transaction touching them
+// takes one partition lock. Every engine's transactions implement it.
+type KeyPlacer interface {
+	// PartitionOf reports the partition key maps to (Backend.PartitionOf).
+	PartitionOf(key string) uint16
+	// NumPartitions reports the store's partition count.
+	NumPartitions() int
+	// Peek reads key like Get, with the same isolation and the same
+	// lifetime for the returned value, but does not refresh the key's TTL:
+	// probing a key does not keep it alive.
+	Peek(key string) ([]byte, bool, error)
+}
+
+var (
+	_ KeyPlacer = (*lockTxn)(nil)
+	_ KeyPlacer = (*batchView)(nil)
+	_ KeyPlacer = (*occTxn)(nil)
+)
+
 // Backend is the store interface the FTC replication roles run against.
 // Both the locking Store and the optimistic OCCStore implement it.
 type Backend interface {
@@ -324,7 +344,7 @@ func (s *Store) ConfigureExpiry(e Expiry) {
 	for i := range s.parts {
 		p := &s.parts[i]
 		p.mu.Lock()
-		p.tab.exp = cfg
+		p.tab.setExpiry(cfg)
 		p.mu.Unlock()
 	}
 }
@@ -343,36 +363,39 @@ func (s *Store) CollectExpired(now int64, limit int, buf []string) []string {
 		return buf
 	}
 	tick := s.exp.ticksAt(now)
-	return collectShards(len(s.parts), limit, buf, func(i int, shard []string) []string {
+	return collectShards(len(s.parts), limit, buf, func(i int, take func() bool, shard []string) []string {
 		p := &s.parts[i]
 		p.mu.Lock()
-		shard = p.tab.collectExpired(tick, limit, shard)
+		shard = p.tab.collectExpired(tick, take, shard)
 		p.mu.Unlock()
 		return shard
 	})
 }
 
-// collectShards runs collect(i, buf) over partitions 0..nparts-1, appending
-// the per-partition results to buf in partition order and honouring limit
-// (limit < 0 means no limit). When the partition count and GOMAXPROCS allow,
-// contiguous partition ranges are scanned by parallel workers — forced
-// expiry at millions of keys is otherwise single-threaded on the head
-// (ROADMAP PR 6 follow-up). Each worker respects limit within its own
-// range, so a limited parallel collection may pick a different (equally
-// valid) subset of due keys than the serial scan; the total never exceeds
-// limit and nothing is missed forever, because uncollected keys stay due.
-func collectShards(nparts, limit int, buf []string, collect func(i int, shard []string) []string) []string {
+// collectShards runs collect(i, take, buf) over partitions 0..nparts-1,
+// appending the per-partition results to buf in partition order and
+// honouring limit (limit < 0 means no limit) through take, which claims one
+// key of the budget and reports false once it is spent. When the partition
+// count and GOMAXPROCS allow, contiguous partition ranges are scanned by
+// parallel workers — forced expiry at millions of keys is otherwise
+// single-threaded on the head. The workers share the budget, so nothing a
+// worker collects is dropped: a limited parallel collection may pick a
+// different (equally valid) subset of due keys than the serial scan, and a
+// due key left out stays due for the next collection.
+func collectShards(nparts, limit int, buf []string, collect func(i int, take func() bool, shard []string) []string) []string {
+	var budget atomic.Int64
+	budget.Store(int64(limit - len(buf)))
+	take := func() bool { return limit < 0 || budget.Add(-1) >= 0 }
+	spent := func() bool { return limit >= 0 && budget.Load() <= 0 }
+
 	const minPartsPerWorker = 8
 	workers := runtime.GOMAXPROCS(0)
 	if max := nparts / minPartsPerWorker; workers > max {
 		workers = max
 	}
 	if workers <= 1 {
-		for i := 0; i < nparts; i++ {
-			if limit >= 0 && len(buf) >= limit {
-				break
-			}
-			buf = collect(i, buf)
+		for i := 0; i < nparts && !spent(); i++ {
+			buf = collect(i, take, buf)
 		}
 		return buf
 	}
@@ -384,24 +407,15 @@ func collectShards(nparts, limit int, buf []string, collect func(i int, shard []
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			var out []string
-			for i := lo; i < hi; i++ {
-				if limit >= 0 && len(out) >= limit {
-					break
-				}
-				out = collect(i, out)
+			for i := lo; i < hi && !spent(); i++ {
+				out = collect(i, take, out)
 			}
 			shards[w] = out
 		}(w, lo, hi)
 	}
 	wg.Wait()
 	for _, s := range shards {
-		if limit >= 0 && len(buf)+len(s) > limit {
-			s = s[:limit-len(buf)]
-		}
 		buf = append(buf, s...)
-		if limit >= 0 && len(buf) >= limit {
-			break
-		}
 	}
 	return buf
 }

@@ -15,40 +15,49 @@ import (
 //     hash bits of a full slot), scanned 8 at a time with SWAR word matches.
 //     A lookup touches the control word first and only compares keys on
 //     candidate slots, so misses rarely dereference a key.
-//   - Flat slot array: keys, values, OCC versions, and TTL deadlines live in
-//     one slot struct per entry. Values are copied into slot-owned buffers
-//     whose capacity is recycled across overwrites and delete/reinsert
-//     cycles — steady-state churn performs zero allocations.
+//   - Flat slot arrays: keys, values and OCC versions live in one slot
+//     struct per entry; TTL bookkeeping lives in a parallel array that only
+//     a table aging keys allocates, so a follower's slots stay 48 bytes.
+//     Values are copied into slot-owned buffers whose capacity is recycled
+//     across overwrites and delete/reinsert cycles — steady-state churn
+//     performs zero allocations.
 //   - Probing: the 64-bit FNV-1a hash (hashx.Sum64String) splits into h1
 //     (group index) and h2 (control byte). Probing walks groups of 8 slots
 //     in a triangular sequence (g, g+1, g+3, g+6, ... mod groups), which
 //     visits every group exactly once when the group count is a power of two.
 //   - Tombstone compaction: deletes write a tombstone so probe chains stay
 //     intact. When an insert would exceed the load bound, the table either
-//     doubles (mostly live) or rehashes at the same size (mostly tombstones),
-//     so a delete-heavy workload cannot degrade probes without bound.
+//     doubles (over 3/4 live) or rehashes at the same size, so a
+//     delete-heavy workload — TTL churn — cannot degrade probes without
+//     bound, nor double a table that is mostly tombstones.
 //
 // The table is not internally synchronized: callers hold the partition
 // mutex, exactly as they did around the seed's map accesses.
 type table struct {
 	ctrl  []uint8 // len == len(slots), grouped 8 bytes per probe group
 	slots []slot
-	mask  uint64 // group count - 1 (group count is a power of two)
-	live  int    // full slots
-	dead  int    // tombstones
+	ttl   []slotTTL // per-slot TTL bookkeeping; nil unless exp is set
+	mask  uint64    // group count - 1 (group count is a power of two)
+	live  int       // full slots
+	dead  int       // tombstones
 	exp   *expiryCfg
 	wheel wheel
 }
 
-// slot is one table entry. gen counts slot lifecycles (insert after
-// delete/rehash) so timer-wheel entries referencing the slot by index can
-// detect staleness; sched records whether a live wheel entry exists for the
-// current lifecycle, keeping wheel membership at most one entry per slot.
+// slot is one table entry.
 type slot struct {
-	key   string
-	val   []byte
+	key string
+	val []byte
+	ver uint64 // per-key OCC version (unused by the 2PL engine)
+}
+
+// slotTTL is one slot's TTL bookkeeping. gen counts slot lifecycles (insert
+// after delete/rehash) so timer-wheel entries referencing the slot by index
+// can detect staleness; sched records whether a live wheel entry exists for
+// the current lifecycle, keeping wheel membership at most one entry per
+// slot.
+type slotTTL struct {
 	exp   int64  // expiry deadline in wheel ticks; 0 = no TTL
-	ver   uint64 // per-key OCC version (unused by the 2PL engine)
 	gen   uint32 // lifecycle counter validating wheel entries
 	sched bool   // a wheel entry exists for this lifecycle
 }
@@ -95,14 +104,35 @@ func (t *table) init(capHint int) {
 	for c < capHint {
 		c <<= 1
 	}
+	t.alloc(c)
+	t.live, t.dead = 0, 0
+}
+
+// alloc installs empty arrays for c slots, with TTL bookkeeping when the
+// table ages keys.
+func (t *table) alloc(c int) {
 	t.ctrl = make([]uint8, c)
 	for i := range t.ctrl {
 		t.ctrl[i] = ctrlEmpty
 	}
 	t.slots = make([]slot, c)
+	t.ttl = nil
+	if t.exp != nil {
+		t.ttl = make([]slotTTL, c)
+	}
 	t.mask = uint64(c/groupSize - 1)
-	t.live, t.dead = 0, 0
 }
+
+// setExpiry arms (cfg non-nil) or disarms TTL bookkeeping. Call before the
+// table holds TTL-prefixed keys.
+func (t *table) setExpiry(cfg *expiryCfg) {
+	t.exp = cfg
+	t.ttl = nil
+	if cfg != nil {
+		t.ttl = make([]slotTTL, len(t.slots))
+	}
+}
+
 
 func (t *table) groupWord(g uint64) uint64 {
 	return binary.LittleEndian.Uint64(t.ctrl[g*groupSize:])
@@ -210,12 +240,14 @@ func (t *table) put(key string, val []byte, nowTick int64) int {
 		_, h2 := splitHash(h)
 		t.ctrl[si] = h2
 		t.live++
-		s := &t.slots[si]
-		s.key = key
-		s.gen++
-		s.sched = false
-		s.ver = 0
-		s.exp = 0
+		t.slots[si].key = key
+		t.slots[si].ver = 0
+		if t.ttl != nil {
+			tt := &t.ttl[si]
+			tt.gen++
+			tt.sched = false
+			tt.exp = 0
+		}
 	}
 	s := &t.slots[si]
 	s.val = append(s.val[:0], val...)
@@ -230,7 +262,7 @@ func (t *table) put(key string, val []byte, nowTick int64) int {
 // scheduled, only the deadline moves and the wheel entry re-files itself
 // when it pops early.
 func (t *table) arm(si int, nowTick int64) {
-	s := &t.slots[si]
+	s := &t.ttl[si]
 	s.exp = nowTick + t.exp.ttlTicks
 	if !s.sched {
 		s.sched = true
@@ -241,7 +273,7 @@ func (t *table) arm(si int, nowTick int64) {
 // refresh pushes the slot's deadline out without touching the wheel. It is
 // the read-path half of TTL maintenance (flows with traffic stay alive).
 func (t *table) refresh(si int, nowTick int64) {
-	s := &t.slots[si]
+	s := &t.ttl[si]
 	if s.exp != 0 {
 		s.exp = nowTick + t.exp.ttlTicks
 	}
@@ -262,29 +294,27 @@ func (t *table) delSlot(si int) {
 	s := &t.slots[si]
 	s.key = ""        // release the key string to GC
 	s.val = s.val[:0] // keep capacity for the next tenant
-	s.exp = 0
 	s.ver = 0
-	s.gen++ // invalidate any wheel entry for the old lifecycle
-	s.sched = false
+	if t.ttl != nil {
+		tt := &t.ttl[si]
+		tt.exp = 0
+		tt.gen++ // invalidate any wheel entry for the old lifecycle
+		tt.sched = false
+	}
 	t.live--
 	t.dead++
 }
 
-// rehash rebuilds the table: doubling when genuinely full, at the same size
-// when tombstones dominate (compaction). Armed TTL entries are re-filed into
-// a fresh wheel since slot indices change.
+// rehash rebuilds the table: doubling when more than 3/4 of it is live, at
+// the same size otherwise (compaction: tombstones dominate). Armed TTL
+// entries are re-filed into a fresh wheel since slot indices change.
 func (t *table) rehash() {
 	newCap := len(t.slots)
-	if (t.live+1)*2 > newCap {
+	if (t.live+1)*4 > newCap*3 {
 		newCap *= 2
 	}
-	oldCtrl, oldSlots := t.ctrl, t.slots
-	t.ctrl = make([]uint8, newCap)
-	for i := range t.ctrl {
-		t.ctrl[i] = ctrlEmpty
-	}
-	t.slots = make([]slot, newCap)
-	t.mask = uint64(newCap/groupSize - 1)
+	oldCtrl, oldSlots, oldTTL := t.ctrl, t.slots, t.ttl
+	t.alloc(newCap)
 	t.live, t.dead = 0, 0
 	t.wheel.reset()
 	for i := range oldCtrl {
@@ -300,11 +330,12 @@ func (t *table) rehash() {
 		s := &t.slots[si]
 		s.key = os.key
 		s.val = os.val // move the buffer; the old slot array is dropped
-		s.exp = os.exp
 		s.ver = os.ver
-		if s.exp != 0 {
-			s.sched = true
-			t.wheel.add(wheelEntry{slot: int32(si), gen: s.gen}, s.exp)
+		if oldTTL != nil && oldTTL[i].exp != 0 {
+			tt := &t.ttl[si]
+			tt.exp = oldTTL[i].exp
+			tt.sched = true
+			t.wheel.add(wheelEntry{slot: int32(si), gen: tt.gen}, tt.exp)
 		}
 	}
 }
@@ -318,30 +349,32 @@ func (t *table) iterate(fn func(key string, val []byte)) {
 	}
 }
 
-// collectExpired advances the wheel to nowTick and appends up to limit due
-// keys to out (table-owned key strings — they stay valid until the keys are
-// deleted). Entries whose deadline was refreshed past nowTick are re-filed;
-// entries beyond limit park on the pending list so the next collection
-// retries them even at the same clock reading. The due keys themselves stay
-// armed: the caller deletes them
-// through a replicated transaction, which re-checks the deadline.
-func (t *table) collectExpired(nowTick int64, limit int, out []string) []string {
+// collectExpired advances the wheel to nowTick and appends due keys to out
+// while take grants budget (table-owned key strings — they stay valid until
+// the keys are deleted). Entries whose deadline was refreshed past nowTick
+// are re-filed; entries past the budget park on the pending list so the
+// next collection retries them even at the same clock reading. The due keys
+// themselves stay armed: the caller deletes them through a replicated
+// transaction, which re-checks the deadline.
+func (t *table) collectExpired(nowTick int64, take func() bool, out []string) []string {
 	t.wheel.advance(nowTick, func(e wheelEntry) int64 {
-		s := &t.slots[e.slot]
+		s := &t.ttl[e.slot]
 		if s.gen != e.gen || s.exp == 0 {
 			return 0 // stale: the slot was deleted or rehashed away
 		}
 		if s.exp > nowTick {
 			return s.exp // refreshed since filing: re-file at the new deadline
 		}
-		if limit >= 0 && len(out) >= limit {
-			// Over budget: park on the pending list (a deadline at the
-			// current tick), which the next collection drains even when the
-			// clock has not moved — ExpireNow loops at one clock reading.
-			return nowTick
+		if !take() {
+			// Over budget: park on the pending list, which the next
+			// collection drains even when the clock has not moved —
+			// ExpireNow loops at one clock reading.
+			return parkPending
 		}
-		out = append(out, s.key)
-		return nowTick + 1 // stays scheduled until the replicated delete lands
+		out = append(out, t.slots[e.slot].key)
+		// Stays scheduled, on the pending list, until the replicated delete
+		// lands: the next collection finds the entry stale and drops it.
+		return parkPending
 	})
 	return out
 }
@@ -350,10 +383,15 @@ func (t *table) collectExpired(nowTick int64, limit int, out []string) []string 
 // nowTick. Used by ExpiryTxn.DeleteExpired to re-validate under the
 // transaction before installing a replicated deletion.
 func (t *table) expiredAt(key string, nowTick int64) bool {
-	si := t.find(key, hashx.Sum64String(key))
-	if si < 0 {
+	return t.dueAt(t.find(key, hashx.Sum64String(key)), nowTick)
+}
+
+// dueAt reports whether slot si (-1: absent) holds a key with a TTL
+// deadline at or before nowTick.
+func (t *table) dueAt(si int, nowTick int64) bool {
+	if si < 0 || t.ttl == nil {
 		return false
 	}
-	s := &t.slots[si]
+	s := &t.ttl[si]
 	return s.exp != 0 && s.exp <= nowTick
 }

@@ -145,7 +145,13 @@ func (t *lockTxn) lockPartition(p uint16) error {
 }
 
 // Get reads a key within the transaction. The bool reports presence.
-func (t *lockTxn) Get(key string) ([]byte, bool, error) {
+func (t *lockTxn) Get(key string) ([]byte, bool, error) { return t.read(key, true) }
+
+// Peek implements KeyPlacer.
+func (t *lockTxn) Peek(key string) ([]byte, bool, error) { return t.read(key, false) }
+
+// read is Get, refreshing the key's TTL when refresh is set.
+func (t *lockTxn) read(key string, refresh bool) ([]byte, bool, error) {
 	p := t.store.PartitionOf(key)
 	if err := t.lockPartition(p); err != nil {
 		return nil, false, err
@@ -160,7 +166,11 @@ func (t *lockTxn) Get(key string) ([]byte, bool, error) {
 	}
 	part := &t.store.parts[p]
 	part.mu.Lock()
-	v, ok := part.tab.getRefresh(key, t.store.exp.nowTick())
+	var now int64
+	if refresh {
+		now = t.store.exp.nowTick()
+	}
+	v, ok := part.tab.getRefresh(key, now)
 	var out []byte
 	if ok {
 		out = make([]byte, len(v))
@@ -169,6 +179,12 @@ func (t *lockTxn) Get(key string) ([]byte, bool, error) {
 	part.mu.Unlock()
 	return out, ok, nil
 }
+
+// PartitionOf implements KeyPlacer.
+func (t *lockTxn) PartitionOf(key string) uint16 { return t.store.PartitionOf(key) }
+
+// NumPartitions implements KeyPlacer.
+func (t *lockTxn) NumPartitions() int { return len(t.store.parts) }
 
 // DeleteExpired implements ExpiryTxn: it buffers a deletion only if key is
 // still present with an elapsed TTL at now, so a refresh that raced the

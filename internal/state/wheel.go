@@ -18,13 +18,14 @@ package state
 //
 // Like the table, the wheel is guarded by the partition mutex.
 type wheel struct {
-	// buckets holds both levels flattened: [0..wheelSlots) is level 0,
-	// [wheelSlots..2*wheelSlots) is level 1. nil until the first add, so
-	// stores without expiry pay nothing.
-	buckets  [][]wheelEntry
-	overflow []wheelEntry // deadlines beyond the level-1 horizon
-	pending  []wheelEntry // due now: re-filed at or before the current tick
-	last     int64        // last tick advance processed
+	// l0 and l1 are the two levels' buckets, each nil until an entry is
+	// first filed into that level: stores without expiry pay nothing, and
+	// TTLs shorter than the level-0 window never allocate level 1.
+	l0, l1   [][]wheelEntry
+	overflow []wheelEntry   // deadlines beyond the level-1 horizon
+	pending  []wheelEntry   // due now: re-filed at or before the current tick
+	spare    [][]wheelEntry // emptied bucket arrays, reused by whichever bucket fills next
+	last     int64          // last tick advance processed
 	started  bool
 }
 
@@ -42,12 +43,13 @@ const (
 	defaultTick  = 50 * 1000 * 1000        // 50ms in nanoseconds
 	minTTLTicks  = 1
 	sweepGapTick = wheelSpan // clock jumps past the horizon trigger a sweep
+	parkPending  = -1        // refile result: keep the entry for the next advance
 )
 
 func (w *wheel) reset() {
-	if w.buckets != nil {
-		for i := range w.buckets {
-			w.buckets[i] = w.buckets[i][:0]
+	for _, level := range [][][]wheelEntry{w.l0, w.l1} {
+		for i := range level {
+			w.recycle(&level[i])
 		}
 	}
 	w.overflow = w.overflow[:0]
@@ -60,9 +62,6 @@ func (w *wheel) reset() {
 // tick go to the pending list, which the next advance drains regardless of
 // clock movement.
 func (w *wheel) add(e wheelEntry, tick int64) {
-	if w.buckets == nil {
-		w.buckets = make([][]wheelEntry, 2*wheelSlots)
-	}
 	if !w.started {
 		w.started = true
 		w.last = tick - 1
@@ -70,26 +69,31 @@ func (w *wheel) add(e wheelEntry, tick int64) {
 	rel := tick - w.last
 	switch {
 	case rel <= 0:
-		w.pending = append(w.pending, e)
+		w.file(&w.pending, e)
 	case rel < wheelSlots:
-		i := int(tick) & wheelMask
-		w.buckets[i] = append(w.buckets[i], e)
+		if w.l0 == nil {
+			w.l0 = make([][]wheelEntry, wheelSlots)
+		}
+		w.file(&w.l0[int(tick)&wheelMask], e)
 	case rel < wheelSpan:
-		i := wheelSlots + (int(tick>>wheelBits) & wheelMask)
-		w.buckets[i] = append(w.buckets[i], e)
+		if w.l1 == nil {
+			w.l1 = make([][]wheelEntry, wheelSlots)
+		}
+		w.file(&w.l1[int(tick>>wheelBits)&wheelMask], e)
 	default:
-		w.overflow = append(w.overflow, e)
+		w.file(&w.overflow, e)
 	}
 }
 
 // advance moves the wheel to nowTick, invoking refile for every entry whose
 // bucket comes due. refile returns the entry's next deadline tick: 0 drops
-// the entry (stale or consumed), a value at or before nowTick parks it on
-// the pending list, and a future value re-files it. Pending entries are
-// re-examined on every call, even when the clock has not moved.
+// the entry (stale or consumed), parkPending parks it on the pending list,
+// and any other value re-files it (one at or before the tick being
+// processed is examined again within this call). Pending entries are
+// re-examined on the next call, even when the clock has not moved.
 func (w *wheel) advance(nowTick int64, refile func(wheelEntry) int64) {
-	if w.buckets == nil {
-		return
+	if !w.started && len(w.pending) == 0 {
+		return // nothing ever filed
 	}
 	if !w.started {
 		w.started = true
@@ -102,8 +106,10 @@ func (w *wheel) advance(nowTick int64, refile func(wheelEntry) int64) {
 	if nowTick-w.last >= sweepGapTick {
 		// The clock jumped past the wheel horizon (forced expiry, long
 		// idle): re-examine everything instead of stepping tick by tick.
-		for i := range w.buckets {
-			w.drain(&w.buckets[i], refile)
+		for _, level := range [][][]wheelEntry{w.l0, w.l1} {
+			for i := range level {
+				w.drain(&level[i], refile)
+			}
 		}
 		w.drain(&w.overflow, refile)
 		w.last = nowTick
@@ -113,19 +119,44 @@ func (w *wheel) advance(nowTick int64, refile func(wheelEntry) int64) {
 		w.last = t // filing position for re-files during this tick
 		if t&wheelMask == 0 {
 			// Cascade: redistribute the level-1 bucket this window opens.
-			i := wheelSlots + (int(t>>wheelBits) & wheelMask)
-			w.drain(&w.buckets[i], refile)
+			if w.l1 != nil {
+				w.drain(&w.l1[int(t>>wheelBits)&wheelMask], refile)
+			}
 			if (t>>wheelBits)&wheelMask == 0 {
 				w.drain(&w.overflow, refile)
 			}
 		}
-		w.drain(&w.buckets[int(t)&wheelMask], refile)
+		if w.l0 != nil {
+			w.drain(&w.l0[int(t)&wheelMask], refile)
+		}
 	}
 	w.last = nowTick
 }
 
+// file appends e to a bucket, giving an empty bucket a spare array first.
+func (w *wheel) file(bucket *[]wheelEntry, e wheelEntry) {
+	if cap(*bucket) == 0 && len(w.spare) > 0 {
+		*bucket = w.spare[len(w.spare)-1]
+		w.spare[len(w.spare)-1] = nil
+		w.spare = w.spare[:len(w.spare)-1]
+	}
+	*bucket = append(*bucket, e)
+}
+
+// recycle empties a bucket and moves its array to the spare list. Arrays
+// follow the entries: a bucket that drains hands its capacity to whichever
+// bucket fills next, so the wheel holds about one TTL of arrivals instead
+// of every bucket's peak.
+func (w *wheel) recycle(bucket *[]wheelEntry) {
+	if cap(*bucket) > 0 {
+		w.spare = append(w.spare, (*bucket)[:0])
+	}
+	*bucket = nil
+}
+
 // drain empties one bucket through refile, re-filing survivors. The bucket
-// is detached first so re-files landing in the same bucket are kept.
+// is detached first so re-files landing in the same bucket are kept, and
+// its array is recycled afterwards.
 func (w *wheel) drain(bucket *[]wheelEntry, refile func(wheelEntry) int64) {
 	entries := *bucket
 	if len(entries) == 0 {
@@ -133,12 +164,12 @@ func (w *wheel) drain(bucket *[]wheelEntry, refile func(wheelEntry) int64) {
 	}
 	*bucket = nil
 	for _, e := range entries {
-		if next := refile(e); next > 0 {
+		switch next := refile(e); {
+		case next == parkPending:
+			w.file(&w.pending, e)
+		case next > 0:
 			w.add(e, next)
 		}
 	}
-	// Recycle the detached backing array if the bucket stayed empty.
-	if len(*bucket) == 0 {
-		*bucket = entries[:0]
-	}
+	w.spare = append(w.spare, entries[:0])
 }

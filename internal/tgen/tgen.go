@@ -59,7 +59,7 @@ type Spec struct {
 	// AlignQueues, when > 0, selects flow endpoints so that every flow
 	// RSS-hashes to the same ingress queue on a receiver with AlignQueues
 	// queues (wire.RSSSelector). This models the hash-collision worst case
-	// behind work stealing: a NIC queue that inherits the elephant and its
+	// of per-queue workers: a NIC queue that inherits the elephant and its
 	// background flows while sibling queues sit idle.
 	AlignQueues int
 }

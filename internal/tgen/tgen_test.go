@@ -241,8 +241,8 @@ func TestSkewDeterministic(t *testing.T) {
 
 // TestAlignQueuesCollision pins the elephant-queue construction: with
 // AlignQueues set, every flow's frame must RSS-select the same ingress
-// queue of an AlignQueues-queue receiver — the worst case the stealing
-// scheduler exists for — while the flows stay distinct.
+// queue of an AlignQueues-queue receiver — the worst case for per-queue
+// workers — while the flows stay distinct.
 func TestAlignQueuesCollision(t *testing.T) {
 	f := netsim.New(netsim.Config{})
 	defer f.Stop()
